@@ -34,7 +34,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     clusters, and the embedding near-dup — the LSH/verify/cluster stages
     these exercise have NO SQL twin, and the oracled counters query only
     covers the gate chain, so a rows-only driver row is the only per-round
-    driver evidence those stages run).  The 5 oracled-but-redundant
+    driver evidence those stages run).  The 6 oracled-but-redundant
     diagnostics pushed past the window (each a recombination of operators
     that ARE oracled in-window) stay exactly verified every round by
     tests/test_oracles.py, which runs the IDENTICAL Ray-vs-DuckDB

@@ -61,21 +61,10 @@ def dedup_pipeline(ds, cfg: DedupConfig = DEFAULT_CONFIG, *,
     one output directory per input-file shard, only unmarked shards
     recompute (state/manifest.py).
     """
-    ck = checkpoint
-    import os, sys, time
-    prof = bool(os.environ.get("COURLAN_RAY_PROFILE"))
-    t_start = time.time()
-
     def stage(name, make):
-        t0 = time.time()
-        if ck is None:
-            out = make().materialize()
-        else:
-            out = ck.run(name, make)
-        if prof:
-            print(f"[stage] {name}: {time.time()-t0:.2f}s "
-                  f"(cum {time.time()-t_start:.2f}s)", file=sys.stderr)
-        return out
+        if checkpoint is None:
+            return make().materialize()
+        return checkpoint.run(name, make)
 
     # ONE traversal of the wide payload: gates + all signatures fused into
     # the actor pool; output is the narrow per-row signature table
@@ -113,33 +102,18 @@ def dedup_pipeline(ds, cfg: DedupConfig = DEFAULT_CONFIG, *,
     edges = verified.select_columns(["left_id", "right_id"]).union(
         keyed_edges.select_columns(["left_id", "right_id"]))
 
-    t0 = time.time()
-    if prof:
-        print(f"[stage] pre-components cum {t0-t_start:.2f}s",
-              file=sys.stderr)
     all_ids = valid.select_columns(["image_id"])
-    clusters = cluster_assignments(edges, all_ids, cfg)
-    if prof:
-        print(f"[stage] components: {time.time()-t0:.2f}s "
-              f"(cum {time.time()-t_start:.2f}s)", file=sys.stderr)
-
-    counters = reject_counters(sigtable)
-    if prof:
-        print(f"[stage] return cum {time.time()-t_start:.2f}s",
-              file=sys.stderr)
     return {
-        "clusters": clusters,
+        "clusters": cluster_assignments(edges, all_ids, cfg),
         "rejected": rejected,
         "verified_pairs": scored,
-        "counters": counters,
+        "counters": reject_counters(sigtable),
     }
 
 
 def pair_recall(clusters_tbl: pa.Table, truth_pairs: pa.Table) -> float:
     """Fraction of planted truth pairs whose two ids share a final cluster
     (the dup-pair recall >= 0.99 criterion, BASELINE.json)."""
-    import pandas as pd
-
     cdf = clusters_tbl.to_pandas().set_index("image_id")["cluster_id"]
     tp = truth_pairs.to_pandas()
     l = tp["left_id"].map(cdf)

@@ -157,22 +157,6 @@ def _label_digest(labels_ds) -> int:
     return out["d"]
 
 
-def connected_components(edges_ds, cfg: DedupConfig):
-    """Verified+exact edges -> (image_id, cluster_id) Dataset for all nodes
-    appearing in any edge.  Path chosen by edge count."""
-    import ray.data as rd
-
-    n_edges = edges_ds.count()
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({"image_id": pa.array([], pa.string()),
-                                       "cluster_id": pa.array([], pa.string())}))
-    if n_edges <= cfg.driver_cc_max_pairs:
-        tbl = _collect(edges_ds.select_columns(["left_id", "right_id"]))
-        out = driver_union_find(tbl.to_pandas())
-        return rd.from_pandas(out)
-    return distributed_components(edges_ds, cfg, approx_nodes=2 * n_edges)
-
-
 def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
     """edges + all valid ids -> (image_id, cluster_id, is_representative,
     cluster_size) in one pass.
@@ -184,7 +168,6 @@ def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
     with a single map.  Large path: distributed label propagation followed
     by the join-based assign + representatives stages."""
     import ray
-    import ray.data as rd
     from ..functions.hashing import hash_strings
     from .joins import cached_get
     from .sampling import cluster_representatives
@@ -250,14 +233,17 @@ def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
 def assign_clusters(all_ids_ds, components_ds, cfg: DedupConfig):
     """Every valid row gets a cluster_id: its component root, or itself for
     singletons.  Broadcast when components are small, else partitioned join."""
-    from .joins import broadcast_lookup, _collect
     import pyarrow.compute as pc
 
     from .joins import attach_by_key
+
+    def fill(b: pa.Table) -> pa.Table:
+        # a block with no component member comes back from the pandas
+        # merge with a null-typed cluster_id, which coalesce rejects
+        cid = pc.cast(b["cluster_id"], pa.string())
+        return b.set_column(b.schema.get_field_index("cluster_id"),
+                            "cluster_id", pc.coalesce(cid, b["image_id"]))
+
     out = attach_by_key(all_ids_ds, components_ds, ["image_id"],
                         num_partitions=cfg.shuffle_partitions, how="left")
-    return out.map_batches(
-        lambda b: b.set_column(b.schema.get_field_index("cluster_id"),
-                               "cluster_id",
-                               pc.coalesce(b["cluster_id"], b["image_id"])),
-        batch_format="pyarrow")
+    return out.map_batches(fill, batch_format="pyarrow")

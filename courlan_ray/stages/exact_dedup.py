@@ -24,13 +24,19 @@ from ..functions.hashing import hash_strings, hash_u64_pair
 from .joins import filter_by_keys
 
 
+def exact_keys(caption_keys: list, phash: np.ndarray, seed: int) -> np.ndarray:
+    """The exact-dup key (int64): mix of the case-folded canonical caption
+    hash and the uint64 perceptual hash."""
+    return hash_u64_pair(hash_strings(caption_keys, seed=seed),
+                         phash).view(np.int64)
+
+
 def add_exact_key(ds, cfg: DedupConfig, key_col: str = "exact_key"):
-    """Vectorized key column: mix of case-folded canonical caption and
-    perceptual hash."""
+    """Vectorized ``exact_keys`` column (the signature stage computes the
+    same column in-line)."""
     def kernel(batch: pa.Table) -> pa.Table:
-        ck = hash_strings(batch["caption_key"].to_pylist(), seed=cfg.seed)
         ph = batch["phash"].to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
-        key = hash_u64_pair(ck, ph).view(np.int64)
+        key = exact_keys(batch["caption_key"].to_pylist(), ph, cfg.seed)
         return batch.append_column(key_col, pa.array(key, pa.int64()))
     return ds.map_batches(kernel, batch_format="pyarrow", batch_size=cfg.batch_size)
 

@@ -186,24 +186,6 @@ def attach_by_key(left_ds, right_ds, on: list[str], *,
                         on=tuple(on))
 
 
-def broadcast_lookup(ds, small_table: pa.Table, key_col: str,
-                     value_cols: list[str], *, right_key: str | None = None):
-    """Map-side hash lookup: attach ``value_cols`` from a small table to
-    every row of ``ds`` (left join, broadcast).  ``small_table`` is shipped
-    once via ``ray.put`` and re-read zero-copy per task."""
-    import pandas as pd
-
-    ref = ray.put(small_table)
-    rk = right_key or key_col
-
-    def attach(batch: pd.DataFrame) -> pd.DataFrame:
-        small: pa.Table = cached_get(ref)
-        sdf = small.select([rk] + value_cols).to_pandas()
-        return batch.merge(sdf, how="left", left_on=key_col, right_on=rk)
-
-    return ds.map_batches(attach, batch_format="pandas")
-
-
 def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str],
                     num_partitions: int = 64, broadcast_max: int = 2_000_000):
     """Attach payload columns for both sides of a (left_id, right_id) pair

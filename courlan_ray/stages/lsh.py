@@ -50,7 +50,6 @@ import pyarrow.compute as pc
 from ..config import DedupConfig
 from ..functions.hashing import (band_keys, hash_u64_pair, hash_strings,
                                  splitmix64, _ranges_within)
-from .joins import cached_get
 
 _U64 = np.uint64
 
@@ -334,20 +333,12 @@ def candidate_pairs(sig_ds, cfg: DedupConfig):
     Scale path: ONE keyed hash-shuffle co-locates every bucket, the same
     ``_link_all`` kernel runs per partition, and a second keyed shuffle
     dedups by pair_key (declared cardinality; the lazy-auto trap fix)."""
-    import os
-    import sys
-    import time
-
     import ray.data as rd
     from .joins import _collect, keyed_repartition, keyed_shuffle_partitions
 
-    prof = bool(os.environ.get("COURLAN_RAY_PROFILE"))
-    t0 = time.time()
     st1 = sig_ds.map_batches(lambda b: _local_stars(b, cfg),
                              batch_format="pyarrow",
                              batch_size=cfg.batch_size).materialize()
-    if prof:
-        print(f"[lsh] st1: {time.time()-t0:.2f}s", file=sys.stderr)
     n_rows = st1.count()        # metadata-only on the materialized table
     cap = cfg.weak_bucket_cap
 
@@ -379,10 +370,6 @@ def candidate_pairs(sig_ds, cfg: DedupConfig):
     canonical = (keyed_repartition(st1, parts, ["bucket"])
                  .map_batches(lambda b: _link_all(b, cap),
                               batch_format="pyarrow", batch_size=None))
-    if prof:
-        canonical = canonical.materialize()
-        print(f"[lsh] link shuffle: {time.time()-t0:.2f}s cumulative",
-              file=sys.stderr)
     from .agg import distinct_by_key
     distinct = distinct_by_key(canonical, "pair_key",
                                approx_count=n_rows,

@@ -24,11 +24,16 @@ Pixel math is batched: per-image decode + area-resample to a 32x32 gray
 stack, then ONE broadcast (B,32,32) DCT matmul chain for all phashes and
 one reshape-mean for all pixel SimHashes — no per-image DCT calls.
 
-Output schema:
-  image_id, caption_key, valid, reject_reason,
-  minhash: fixed_size_list<int64>[num_perm], simhash_cap: int64,
-  simhash_pix: int64, phash: int64 (recomputed; input value when decode
-  fails), fingerprints: list<int64>, shingle_count: int32, decode_ok: bool
+Output schema (the "sigtable"; ``caption_signatures`` builds the caption
+columns for the image and the text pipeline alike):
+  image_id, caption_key, valid, reject_reason, exact_key: int64,
+  minhash: fixed_size_list<int32>[num_perm] (low 32 bits of each
+  min-hash), simhash_cap: int64, simhash_pix: int64, phash: int64
+  (recomputed; input value when decode fails), fingerprints: list<int64>
+  (sorted per row), fp_pairs: list<int64> (adjacent-print pair hashes),
+  shingle_count: int32, decode_ok: bool.  ``text_sigtable`` (the text
+  pipeline) has no valid / reject_reason / exact_key columns and zero
+  pixel columns.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ import pyarrow as pa
 
 from ..config import DedupConfig
 from ..functions import imagecodec as codec
-from ..functions.hashing import (char_shingle_hashes, hash_strings,
-                                 minhash_signatures, simhash64, splitmix64,
+from ..functions.hashing import (adjacent_pair_hashes, char_shingle_hashes,
+                                 hash_strings, minhash_signatures, simhash64,
+                                 sort_segments, splitmix64,
                                  winnowing_fingerprints)
+from .exact_dedup import exact_keys
 
 _U64 = np.uint64
 
@@ -98,6 +105,85 @@ def pixel_hashes_batch(payloads: list) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return phash, simpix, ok
 
 
+def _scatter(v: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
+    """Rows ``rows`` of an n-row zero array set to ``v`` (``v`` itself when
+    ``rows`` is None)."""
+    if rows is None:
+        return v
+    out = np.zeros((n,) + v.shape[1:], dtype=v.dtype)
+    out[rows] = v
+    return out
+
+
+def _list_column(values: np.ndarray, counts: np.ndarray) -> pa.ListArray:
+    """Flat uint64 values + per-row counts -> list<int64> column."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=offsets[1:])
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
+                                    pa.array(values.view(np.int64),
+                                             pa.int64()))
+
+
+def caption_signatures(captions: list, cfg: DedupConfig,
+                       rows: np.ndarray | None = None,
+                       n: int | None = None) -> dict[str, pa.Array]:
+    """The caption channel of the sigtable, shared by the image and text
+    pipelines: shingles -> MinHash + caption SimHash, winnowing prints ->
+    adjacent-print pair hashes.  Returns the ``minhash``, ``simhash_cap``,
+    ``fingerprints``, ``fp_pairs`` and ``shingle_count`` columns.
+
+    With ``rows``, result i belongs at row ``rows[i]`` of an ``n``-row
+    batch; the other rows get zero signatures and empty print lists."""
+    sh, counts = char_shingle_hashes(captions, cfg.shingle_width,
+                                     seed=cfg.seed)
+    minh = minhash_signatures(sh, counts, cfg.num_perm, seed=cfg.seed + 1)
+    sim = simhash64(sh, counts)
+    fps, fp_counts = winnowing_fingerprints(
+        captions, cfg.fingerprint_k, cfg.fingerprint_window,
+        seed=cfg.seed + 2)
+    # consecutive-print pair hashes (position order) for banding, THEN
+    # sort prints per row for the verify-side set intersection
+    fpp, fpp_counts = adjacent_pair_hashes(fps, fp_counts)
+    fps = sort_segments(fps, fp_counts)
+
+    # store the low 32 bits of each min-hash: equality comparisons (the
+    # only use — banding keys and Jaccard estimation) are unchanged up
+    # to a 2^-32 collision; storage/shuffle/gather traffic halves
+    mh32 = _scatter((minh & _U64(0xFFFFFFFF)).astype(np.uint32), rows, n)
+    return {
+        "minhash": pa.FixedSizeListArray.from_arrays(
+            pa.array(mh32.view(np.int32).ravel(), pa.int32()), cfg.num_perm),
+        "simhash_cap": pa.array(_scatter(sim, rows, n).view(np.int64),
+                                pa.int64()),
+        # empty-row print lists: a zero count adds no flat values
+        "fingerprints": _list_column(fps, _scatter(fp_counts, rows, n)),
+        "fp_pairs": _list_column(fpp, _scatter(fpp_counts, rows, n)),
+        "shingle_count": pa.array(
+            _scatter(counts, rows, n).astype(np.int32), pa.int32()),
+    }
+
+
+def text_sigtable(ids: pa.Array, captions: pa.Array,
+                  cfg: DedupConfig) -> pa.Table:
+    """Sigtable of payload-less rows: the caption channel of ``captions``
+    (already normalized) with zero pixel columns and ``decode_ok`` true."""
+    n = len(captions)
+    cap = caption_signatures(captions.to_pylist(), cfg)
+    zeros = pa.array(np.zeros(n, dtype=np.int64), pa.int64())
+    return pa.table({
+        "image_id": ids,
+        "caption_key": captions,
+        "minhash": cap["minhash"],
+        "simhash_cap": cap["simhash_cap"],
+        "simhash_pix": zeros,
+        "phash": zeros,
+        "fingerprints": cap["fingerprints"],
+        "fp_pairs": cap["fp_pairs"],
+        "shingle_count": cap["shingle_count"],
+        "decode_ok": pa.array(np.ones(n, dtype=bool)),
+    })
+
+
 class SignatureActor:
     """Callable class for ``map_batches(SignatureActor, fn_constructor_args=
     (cfg,), concurrency=N)`` — setup once per actor, vectorized per batch."""
@@ -120,22 +206,11 @@ class SignatureActor:
             reject = pa.array([""] * batch.num_rows, pa.string())
         n = batch.num_rows
         vidx = np.flatnonzero(valid)
-        vb = batch.take(pa.array(vidx, pa.int64())) if len(vidx) < n else batch
+        rows = vidx if len(vidx) < n else None
+        vb = batch.take(pa.array(vidx, pa.int64())) if rows is not None \
+            else batch
         captions = vb["caption_key"].to_pylist()
-
-        sh, v_counts = char_shingle_hashes(captions, cfg.shingle_width,
-                                           seed=cfg.seed)
-        v_minh = minhash_signatures(sh, v_counts, cfg.num_perm,
-                                    seed=cfg.seed + 1)
-        v_sim_cap = simhash64(sh, v_counts)
-        v_fps, v_fp_counts = winnowing_fingerprints(
-            captions, cfg.fingerprint_k, cfg.fingerprint_window,
-            seed=cfg.seed + 2)
-        from ..functions.hashing import adjacent_pair_hashes, sort_segments
-        # consecutive-print pair hashes (position order) for banding, THEN
-        # sort prints per row for the verify-side set intersection
-        v_fpp, v_fpp_counts = adjacent_pair_hashes(v_fps, v_fp_counts)
-        v_fps = sort_segments(v_fps, v_fp_counts)
+        cap = caption_signatures(captions, cfg, rows, n)
 
         in_phash = vb["phash"].to_numpy(zero_copy_only=False) \
             .astype(np.int64).view(_U64)
@@ -151,54 +226,27 @@ class SignatureActor:
                              seed=cfg.seed + 9) ^ _U64(0xDEAD))
 
         # scatter valid-row results back to full batch length
-        minh = np.zeros((n, cfg.num_perm), dtype=_U64)
-        minh[vidx] = v_minh
-        sim_cap = np.zeros(n, dtype=_U64); sim_cap[vidx] = v_sim_cap
-        phash = np.zeros(n, dtype=_U64); phash[vidx] = v_phash
-        simpix = np.zeros(n, dtype=_U64); simpix[vidx] = v_simpix
-        ok = np.zeros(n, dtype=bool); ok[vidx] = v_ok
-        counts = np.zeros(n, dtype=np.int64); counts[vidx] = v_counts
-        fp_counts = np.zeros(n, dtype=np.int64); fp_counts[vidx] = v_fp_counts
-        fpp_counts = np.zeros(n, dtype=np.int64)
-        fpp_counts[vidx] = v_fpp_counts
-
-        cap_full = batch["caption_key"]
-
-        # store the low 32 bits of each min-hash: equality comparisons (the
-        # only use — banding keys and Jaccard estimation) are unchanged up
-        # to a 2^-32 collision; storage/shuffle/gather traffic halves
-        mh32 = (minh & _U64(0xFFFFFFFF)).astype(np.uint32)
-        mh_flat = pa.array(mh32.view(np.int32).ravel(), pa.int32())
-        minhash_col = pa.FixedSizeListArray.from_arrays(mh_flat, cfg.num_perm)
-        fp_offsets = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(fp_counts, out=fp_offsets[1:])
-        fp_col = pa.ListArray.from_arrays(pa.array(fp_offsets, pa.int32()),
-                                          pa.array(v_fps.view(np.int64),
-                                                   pa.int64()))
-        fpp_offsets = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(fpp_counts, out=fpp_offsets[1:])
-        fpp_col = pa.ListArray.from_arrays(pa.array(fpp_offsets, pa.int32()),
-                                           pa.array(v_fpp.view(np.int64),
-                                                    pa.int64()))
+        phash = _scatter(v_phash, rows, n)
+        simpix = _scatter(v_simpix, rows, n)
+        ok = _scatter(v_ok, rows, n)
         # variant-invariant exact-dup key (stages/exact_dedup.py), computed
         # here so the exact stage needs no extra pass over the sigtable
-        ck = hash_strings(batch["caption_key"].to_pylist(), seed=cfg.seed)
-        from ..functions.hashing import hash_u64_pair
-        exact_key = hash_u64_pair(ck, phash).view(np.int64)
+        exact_key = exact_keys(batch["caption_key"].to_pylist(), phash,
+                               cfg.seed)
 
         return pa.table({
             "image_id": batch["image_id"],
-            "caption_key": cap_full,
+            "caption_key": batch["caption_key"],
             "valid": pa.array(valid),
             "reject_reason": reject,
             "exact_key": pa.array(exact_key, pa.int64()),
-            "minhash": minhash_col,
-            "simhash_cap": pa.array(sim_cap.view(np.int64), pa.int64()),
+            "minhash": cap["minhash"],
+            "simhash_cap": cap["simhash_cap"],
             "simhash_pix": pa.array(simpix.view(np.int64), pa.int64()),
             "phash": pa.array(phash.view(np.int64), pa.int64()),
-            "fingerprints": fp_col,
-            "fp_pairs": fpp_col,
-            "shingle_count": pa.array(counts.astype(np.int32), pa.int32()),
+            "fingerprints": cap["fingerprints"],
+            "fp_pairs": cap["fp_pairs"],
+            "shingle_count": cap["shingle_count"],
             "decode_ok": pa.array(ok),
         })
 

@@ -288,18 +288,12 @@ def _sliced(batch: pa.Table, one):
         yield one(batch.slice(i, _VERDICT_SLICE))
 
 
-def _verify_broadcast(pairs_ds, sig_ds, cfg: DedupConfig, prof=False):
+def _verify_broadcast(pairs_ds, sig_ds, cfg: DedupConfig):
     """Small-signature path: numpy broadcast pack + searchsorted gather."""
-    import sys
-    import time
-
     from .joins import cached_get
     from ..functions.hashing import hash_strings
 
-    t0 = time.time()
     refs = _pack_signatures(sig_ds, cfg)
-    if prof:
-        print(f"[verify] pack: {time.time()-t0:.2f}s", file=sys.stderr)
 
     def kernel(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -374,17 +368,8 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
     Size-adaptive: below ``cfg.verify_broadcast_max`` signature rows the
     signature table is broadcast as numpy blocks; above it signatures
     attach via two partitioned hash joins (no driver materialization)."""
-    import os
-    import sys
-    import time
-
-    prof = bool(os.environ.get("COURLAN_RAY_PROFILE"))
-    t0 = time.time()
     sig_ds = sig_ds.materialize()
     n_sigs = sig_ds.count()
-    if prof:
-        print(f"[verify] sig materialize: {time.time()-t0:.2f}s",
-              file=sys.stderr)
 
     # re-split the candidate output so the verify stage fans out across the
     # cluster — skipped when the input is already well-partitioned (the
@@ -402,20 +387,10 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
                     # (~1.5 s) dwarfs the single-task kernel, skip it
     elif nb < fanout // 2:
         pairs_ds = pairs_ds.repartition(fanout)
-        if prof:
-            pairs_ds = pairs_ds.materialize()
-            print(f"[verify] pair repartition: {time.time()-t0:.2f}s cum",
-                  file=sys.stderr)
 
     if n_sigs <= cfg.verify_broadcast_max:
-        out = _verify_broadcast(pairs_ds, sig_ds, cfg, prof=prof)
-    else:
-        out = _verify_joined(pairs_ds, sig_ds, cfg)
-    if prof:
-        out = out.materialize()
-        print(f"[verify] kernel: {time.time()-t0:.2f}s cumulative",
-              file=sys.stderr)
-    return out
+        return _verify_broadcast(pairs_ds, sig_ds, cfg)
+    return _verify_joined(pairs_ds, sig_ds, cfg)
 
 
 def _verify_joined(pairs_ds, sig_ds, cfg: DedupConfig):

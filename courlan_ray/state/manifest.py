@@ -23,11 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import time
 from dataclasses import asdict
 
 from ..config import DedupConfig
+from ..sources.cache import write_parquet_atomic
 
 # config fields that affect each stage's OUTPUT (cumulative downstream).
 # "sigtable" is the fused canonicalize+signatures traversal
@@ -94,24 +94,9 @@ class Checkpoint:
             return rd.read_parquet(out_dir)
 
         t0 = time.time()
-        ds = make()
-        tmp_dir = out_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        shutil.rmtree(out_dir, ignore_errors=True)
-        ds.write_parquet(tmp_dir)
-        # a zero-row stage (e.g. no exact duplicates) writes NO files;
-        # persist one empty schema-bearing file so the resumed
-        # read_parquet returns the same (empty, typed) dataset instead of
-        # failing on an empty directory
-        os.makedirs(tmp_dir, exist_ok=True)   # zero-row write creates nothing
-        if not any(f.endswith(".parquet") for f in os.listdir(tmp_dir)):
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-            schema = ds.schema()
-            empty = pa.table({n: pa.array([], t) for n, t in
-                              zip(schema.names, schema.types)})
-            pq.write_table(empty, os.path.join(tmp_dir, "empty.parquet"))
-        os.replace(tmp_dir, out_dir)
+        # a zero-row stage (e.g. no exact duplicates) persists one empty
+        # schema-bearing file, so the resumed read is the same typed table
+        write_parquet_atomic(make(), out_dir, self.stage_fingerprint(name))
         result = rd.read_parquet(out_dir)
         files = sorted(f for f in os.listdir(out_dir) if f.endswith(".parquet"))
         # per-PARTITION lineage (north_rule): one record per output file
@@ -124,9 +109,7 @@ class Checkpoint:
                      rows=result.count(), n_files=len(files),
                      partition_rows=parts,
                      wall_sec=round(time.time() - t0, 3))
-        with open(os.path.join(out_dir, "_SUCCESS"), "w") as fh:
-            fh.write(self.stage_fingerprint(name))
-        return rd.read_parquet(out_dir)
+        return result
 
     def run_sharded(self, name: str, input_files: list[str], make,
                     n_shards: int = 16):
@@ -162,26 +145,9 @@ class Checkpoint:
                              out_dir=sdir)
                 continue
             t0 = time.time()
-            ds = make(rd.read_parquet(shard_files))
-            tmp = sdir + ".tmp"
-            shutil.rmtree(tmp, ignore_errors=True)
-            shutil.rmtree(sdir, ignore_errors=True)
-            ds.write_parquet(tmp)
-            # mirror run(): a zero-row shard (e.g. all rows filtered) writes
-            # NO files — write_parquet may not even create the directory —
-            # so persist one empty schema-bearing file before the rename
-            os.makedirs(tmp, exist_ok=True)
-            if not any(f.endswith(".parquet") for f in os.listdir(tmp)):
-                import pyarrow as pa
-                import pyarrow.parquet as pq
-                schema = ds.schema()
-                empty = pa.table({n: pa.array([], t) for n, t in
-                                  zip(schema.names, schema.types)})
-                pq.write_table(empty, os.path.join(tmp, "empty.parquet"))
-            os.replace(tmp, sdir)
+            write_parquet_atomic(make(rd.read_parquet(shard_files)), sdir,
+                                 self.stage_fingerprint(name))
             rows = rd.read_parquet(sdir).count()
-            with open(os.path.join(sdir, "_SUCCESS"), "w") as fh:
-                fh.write(self.stage_fingerprint(name))
             self._record(name, status="shard_computed", shard=s,
                          out_dir=sdir, rows=rows, n_input_files=len(shard_files),
                          wall_sec=round(time.time() - t0, 3))

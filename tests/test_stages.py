@@ -109,7 +109,7 @@ def test_hot_bucket_salting_preserves_connectivity():
     import ray.data as rd
     from courlan_ray.stages.signatures import compute_signatures
     from courlan_ray.stages.lsh import candidate_pairs
-    from courlan_ray.stages.components import connected_components
+    from courlan_ray.stages.components import cluster_assignments
     from courlan_ray.functions.imagecodec import encode_image
     from courlan_ray.sources.synth import make_image
     cfg = DedupConfig(signature_concurrency=1, num_salts=4)
@@ -121,10 +121,27 @@ def test_hot_bucket_salting_preserves_connectivity():
     ds = rd.from_pandas(pd.DataFrame(rows))
     sigs = compute_signatures(ds, cfg).materialize()
     pairs = candidate_pairs(sigs, cfg)
-    comp = connected_components(pairs, cfg).to_pandas()
-    # all 40 rows must land in ONE component despite salting
-    assert comp["cluster_id"].nunique() == 1
-    assert len(comp) == 40
+    out = cluster_assignments(pairs, sigs.select_columns(["image_id"]),
+                              cfg).to_pandas()
+    # all 40 rows must land in ONE cluster despite salting
+    assert len(out) == 40
+    assert out["cluster_id"].nunique() == 1
+    assert (out["cluster_size"] == 40).all()
+
+
+def test_assign_clusters_block_without_components():
+    """Scale-path assignment: an ids block none of whose rows is in a
+    component still gets every row its own id as cluster_id."""
+    rd = _rd()
+    from courlan_ray.stages.components import assign_clusters
+    ids = rd.from_arrow([pa.table({"image_id": ["a", "b"]}),
+                         pa.table({"image_id": ["x", "y"]})])
+    comp = rd.from_arrow(pa.table({"image_id": ["a", "b"],
+                                   "cluster_id": ["a", "a"]}))
+    got = assign_clusters(ids, comp, DedupConfig()).to_pandas() \
+        .sort_values("image_id")
+    assert got["image_id"].tolist() == ["a", "b", "x", "y"]
+    assert got["cluster_id"].tolist() == ["a", "a", "x", "y"]
 
 
 def test_agg_mode_resolution_and_shuffle_path():

@@ -39,3 +39,34 @@ def test_text_dedup_clusters_planted_pairs():
     assert clusters["2"] != clusters["3"]
     sizes = clusters.value_counts()
     assert (sizes > 1).sum() == 3
+
+
+def test_text_and_image_signatures_agree():
+    """One caption kernel: for the same normalized captions the text and
+    the image signature stages emit equal caption columns."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    from courlan_ray.functions.imagecodec import encode_image
+    from courlan_ray.pipelines.text_dedup import text_signatures
+    from courlan_ray.sources.synth import make_image
+    from courlan_ray.stages.signatures import compute_signatures
+
+    texts = _docs()["text"].str.lower().tolist()[58:] + ["", "ab", BASE]
+    cfg = DedupConfig(signature_concurrency=1)
+    docs = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
+    images = pd.DataFrame({
+        "image_id": [str(i) for i in range(len(texts))],
+        "caption_key": texts,
+        "bytes": [encode_image(make_image(i, 32, 7), "png")
+                  for i in range(len(texts))],
+        "phash": 0})
+    txt = text_signatures(rd.from_pandas(docs, override_num_blocks=2), cfg)
+    img = compute_signatures(rd.from_pandas(images), cfg)
+    t = pa.concat_tables(ray.get(txt.to_arrow_refs())).sort_by("image_id")
+    i = pa.concat_tables(ray.get(img.to_arrow_refs())).sort_by("image_id")
+    assert t["image_id"].to_pylist() == i["image_id"].to_pylist()
+    for col in ("minhash", "simhash_cap", "fingerprints", "fp_pairs",
+                "shingle_count"):
+        assert t[col].combine_chunks().equals(i[col].combine_chunks()), col
+    assert sum(len(f) for f in t["fp_pairs"].to_pylist()) > 0
