@@ -263,22 +263,11 @@ def run_scaling() -> dict:
     host_eff = None
     if host_probe:
         host_eff = round((host_probe[str(hi)] / host_probe[str(lo)]) / 4, 3)
-    # 200k rows: per-stage fixed costs (stage launch, actor ramp) amortize
+    # 200k rows: per-stage fixed costs (stage launch, worker start) amortize
     # into the compute, as they would at the 10^12-row target — 100k at 16
     # CPUs is only ~6k rows/CPU of work per scheduling floor
     rows = os.environ.get("RAY_GRAFT_SYNTH_ROWS", "200000")
     reps = int(os.environ.get("RAY_GRAFT_SCALING_REPS", "3"))
-
-    def calib() -> float:
-        """Single-core matmul seconds — an objective probe of the shared
-        host's current speed (phases vary 2x); recorded per rep pair."""
-        import numpy as np
-        a = np.random.default_rng(0).random((1200, 1200))
-        t0 = time.time()
-        for _ in range(6):
-            a = a @ a
-            a /= np.abs(a).max()
-        return round(time.time() - t0, 2)
 
     def one(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
@@ -293,10 +282,10 @@ def run_scaling() -> dict:
     runs: dict[int, list[dict]] = {lo: [], hi: []}
     calibs = []
     for _ in range(reps):
-        calibs.append(calib())
+        calibs.append(_calib_sec())
         runs[lo].append(one(lo))
         runs[hi].append(one(hi))
-    calibs.append(calib())
+    calibs.append(_calib_sec())
     r_lo = min(runs[lo], key=lambda r: r["value"])
     r_hi = min(runs[hi], key=lambda r: r["value"])
     tp_lo, tp_hi = r_lo["images_per_sec"], r_hi["images_per_sec"]

@@ -85,7 +85,6 @@ class DedupConfig:
     # --- execution sizing ---
     batch_size: int = 4096
     signature_batch_size: int = 1024       # smaller batches -> more decode tasks
-    signature_concurrency: int = 24
 
     @property
     def rows_per_band(self) -> int:

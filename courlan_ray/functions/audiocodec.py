@@ -15,8 +15,8 @@ a bespoke format.  Everything else is numpy:
   land within a small Hamming ball (the audio twin of imagecodec.phash64).
 
 A production cluster swaps ``decode_wav`` for torchaudio/soundfile inside
-the same actor (stages/multimodal.AudioFeatures); the fingerprint math is
-codec-independent.
+the same stage (stages/multimodal.audio_features_batch); the fingerprint
+math is codec-independent.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def decode_wav(payload: bytes) -> tuple[np.ndarray, int]:
             raise AudioCodecError(f"unsupported PCM width {bits}")
         # tolerate a sample-misaligned data length (stray trailing bytes in
         # corrupt files) — np.frombuffer would raise a bare ValueError that
-        # escapes the stage's except-AudioCodecError and kills the actor
+        # escapes the stage's except-AudioCodecError and fails the task
         step = np.dtype(dt).itemsize
         raw = np.frombuffer(data[: len(data) - len(data) % step], dtype=dt)
         if bits == 8:                         # 8-bit WAV is unsigned

@@ -11,7 +11,7 @@ dedup pipeline:
 
 ``decode_real_format`` is the clearly-marked stub where PIL/turbojpeg would
 plug in on a production cluster; everything Ray-side (schemas, batch sizes,
-actor signatures, output layout) is identical either way.
+stage functions, output layout) is identical either way.
 
 The perceptual hash is the classic DCT pHash: area-resample to 32x32 gray,
 2D DCT-II, top-left 8x8 coefficients (minus DC) thresholded at their median
@@ -78,7 +78,7 @@ def decode_image(payload: bytes) -> np.ndarray:
 
 def decode_real_format(payload: bytes) -> np.ndarray:
     """STUB: real JPEG/PNG decoding.  On a production cluster this calls
-    PIL / libjpeg-turbo inside the signature actor; this sandbox ships no
+    PIL / libjpeg-turbo inside the signature stage; this sandbox ships no
     image libraries, so unknown magics are rejected."""
     raise CodecError("real image formats not available in this environment")
 
@@ -108,7 +108,7 @@ def _resize_gray_32(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Area-style resample of an (h, w[, 3]) image to 32x32 float gray.
 
     ``dtype=np.float32`` halves the memory traffic of the gray conversion
-    and the integral image — the hot path of the signature actor is
+    and the integral image — the hot path of the signature stage is
     memory-bandwidth-bound at full node parallelism, so the batched
     pipeline uses float32 (identical determinism; float64 stays the
     default for the public single-image ``phash64`` API)."""
@@ -137,7 +137,7 @@ def gray32_area_f32(arr: np.ndarray) -> np.ndarray:
     Two ``np.add.reduceat`` passes over the raw uint8 pixels (row blocks,
     then column blocks) and one tiny 32x32x3 gray matmul — ~10x less
     memory traffic than grayscale-then-integral-image, which matters
-    because the signature actor pool is DRAM-bandwidth-bound at full node
+    because the signature stage is DRAM-bandwidth-bound at full node
     parallelism.  Same block boundaries as ``_resize_gray_32`` (float32
     rounding differs in the last bits; hash thresholds are robust to it).
     """

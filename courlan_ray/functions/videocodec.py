@@ -11,9 +11,9 @@ independently-decodable frames, each encoded with the in-repo image codec
 
 Because frames are independent, frame sampling decodes ONLY the sampled
 frames (offset arithmetic on the header — the property a production
-ffmpeg/pyav actor gets from keyframe seeking).  A production cluster swaps
-``decode_frame`` for a real codec inside the same actor
-(stages/multimodal.VideoFrameSample); the sampling/fingerprint math is
+ffmpeg/pyav stage gets from keyframe seeking).  A production cluster swaps
+``decode_frame`` for a real codec inside the same stage
+(stages/multimodal.video_frames_batch); the sampling/fingerprint math is
 container-independent.
 """
 

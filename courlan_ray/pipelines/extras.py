@@ -928,7 +928,7 @@ def _audio_ds(sf_dir: str):
 def audio_dedup_pairs(sf_dir: str):
     """Audio near-dup pairs over the deterministic synthetic WAV table
     (sources/audiosynth.py): WAV decode + 64-bit spectral fingerprint in
-    an actor pool, Hamming-ball candidates + profile-L2 verify.
+    a map stage, Hamming-ball candidates + profile-L2 verify.
     Full DuckDB oracle (EXTRA_ORACLES['audio_dedup_pairs']): the SQL twin
     brute-forces the O(n^2) self-join over the materialized feature
     parquet — bit_count(xor(simhash)) <= 8 AND list_distance(features)
@@ -940,7 +940,7 @@ def audio_dedup_pairs(sf_dir: str):
 
 
 def audio_decode_stats(sf_dir: str):
-    """Per-track decode/feature stats from the audio actor stage —
+    """Per-track decode/feature stats from the audio map stage —
     decode_ok rate, duration, rms (rows-only; deterministic)."""
     from ..stages.multimodal import audio_features
     out = audio_features(_audio_ds(sf_dir), DedupConfig())
@@ -949,7 +949,7 @@ def audio_decode_stats(sf_dir: str):
 
 def audio_durations(sf_dir: str):
     """(audio_id, decode_ok, duration_sec) from the REAL WAV decode in the
-    actor pool; the DuckDB oracle recomputes both via independent RIFF
+    map stage; the DuckDB oracle recomputes both via independent RIFF
     header arithmetic over the same parquet (magic bytes + octet_length)
     — a value-verified check on the audio channel's decode gating."""
     from ..stages.multimodal import audio_features
@@ -972,7 +972,7 @@ def _video_ds(sf_dir: str):
 def video_dedup_pairs(sf_dir: str):
     """Video near-dup pairs over the deterministic synthetic FVID table
     (sources/videosynth.py): frame-sampled phash majority fingerprint in
-    an actor pool, pigeonhole Hamming-ball candidates, slot-wise frame
+    a map stage, pigeonhole Hamming-ball candidates, slot-wise frame
     verification.  Full DuckDB oracle (EXTRA_ORACLES['video_dedup_pairs']):
     the SQL twin brute-forces the O(n^2) self-join over the materialized
     signature parquet — bit_count(xor(vhash)) <= 3 AND per-slot
@@ -985,7 +985,7 @@ def video_dedup_pairs(sf_dir: str):
 
 
 def video_frame_stats(sf_dir: str):
-    """Per-sampled-frame decode stats from the frame-sample actor stage
+    """Per-sampled-frame decode stats from the frame-sample map stage
     (one row per video x frame; rows-only, deterministic)."""
     from ..stages.multimodal import sample_video_frames
     out = sample_video_frames(_video_ds(sf_dir), DedupConfig(), n_frames=3)
@@ -994,7 +994,7 @@ def video_frame_stats(sf_dir: str):
 
 def video_frame_index(sf_dir: str):
     """(video_id, frame_idx, decode_ok, w, h) from the REAL frame-sample
-    actor (container parse + per-frame decode); the DuckDB oracle
+    stage (container parse + per-frame decode); the DuckDB oracle
     recomputes the sampling layout and decode gating via independent
     header arithmetic (fmt + octet_length + the evenly-spaced index
     formula) over the same parquet."""

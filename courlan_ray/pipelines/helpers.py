@@ -127,14 +127,15 @@ def wordpress_sources(ds, *, lax: bool = False, text_col: str = "text",
 
     # parity mode: global line numbers (bounded input; order matters).
     # Guarded like every other driver-side path: refuse before collecting
-    # rather than OOM the driver on an unbounded crawl list.  Materialize
-    # once so count() + to_pandas() don't execute the upstream chain twice.
-    ds = ds.materialize()
-    n = ds.count()
-    if n > _ORDERED_PARITY_MAX_ROWS:
+    # rather than OOM the driver on an unbounded crawl list.  At most
+    # cap + 1 rows are ever materialized; within the cap that one
+    # materialization is the input itself.
+    cap = _ORDERED_PARITY_MAX_ROWS
+    ds = ds.limit(cap + 1).materialize()
+    if ds.count() > cap:
         raise ValueError(
             f"wordpress_sources(ordered=True) is the bounded reference-"
-            f"parity mode (<= {_ORDERED_PARITY_MAX_ROWS} rows); got {n}. "
+            f"parity mode (<= {cap} rows); got more than {cap} rows. "
             f"Use ordered=False (distributed, order-free) at scale.")
     tbl = ds.to_pandas()
     tbl["__line"] = np.arange(len(tbl), dtype=np.int64)

@@ -27,16 +27,14 @@ def text_signatures(ds, cfg: DedupConfig, *, id_col="doc_id", text_col="text"):
         ids = pc.cast(batch[id_col], pa.string())
         return text_sigtable(ids, norm, cfg)
 
-    # STATELESS task stage, not an actor pool: unlike the image signature
-    # actors (stages/signatures.py, which amortize decode state), the text
-    # kernel holds nothing per-actor — tasks schedule instantly on free
-    # CPUs and skip the ~1-2 s pool ramp every pipeline run paid.
-    # batch_size=None (one batch per block): a fixed batch_size makes Ray
-    # RE-BUNDLE blocks into exact-size batches across block boundaries,
-    # which serialized a 64-block input and tripled stage wall time
-    # (measured 0.84 s -> 0.27 s at sf0.1); the kernel is pure vectorized
-    # hashing with no per-batch state, so block-sized batches are right at
-    # any scale (blocks are already bounded by target_max_block_size)
+    # Stateless task stage, like the image signature stage
+    # (stages/signatures.py).  batch_size=None (one batch per block): a
+    # fixed batch_size makes Ray RE-BUNDLE blocks into exact-size batches
+    # across block boundaries, which serialized a 64-block input and
+    # tripled stage wall time (measured 0.84 s -> 0.27 s at sf0.1); the
+    # kernel is pure vectorized hashing with no per-batch state, so
+    # block-sized batches are right at any scale (blocks are already
+    # bounded by target_max_block_size)
     return ds.map_batches(kernel, batch_format="pyarrow", batch_size=None)
 
 

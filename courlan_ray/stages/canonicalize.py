@@ -53,7 +53,7 @@ def canonicalize_batch(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
          | (w > cfg.max_dim) | (h > cfg.max_dim), "bad_dims")
 
     # payload magic check (cheap; full decode happens in the signature
-    # actor, which can still flip rows to 'undecodable')
+    # stage, which can still flip rows to 'undecodable')
     payload = batch["bytes"]
     head = pc.binary_slice(payload, 0, 4).to_pylist()
     plen = pc.binary_length(payload).to_numpy(zero_copy_only=False)

@@ -1,9 +1,9 @@
-"""Multimodal (image/audio/video) actor-pool stages.
+"""Multimodal (image/audio/video) map stages.
 
 Binary media are opaque ``binary`` columns with typed metadata (w, h, fmt);
-each transform is a callable-class ``map_batches`` stage: decoders/models
-load once per actor in ``__init__``, batches stream through ``__call__``,
-and decoded pixels never leave the stage (only features/thumbnails do).
+each transform is a stateless per-batch function run as Ray Data
+``map_batches`` tasks (parameters through ``fn_kwargs``), and decoded
+pixels never leave the stage (only features/thumbnails do).
 
 This sandbox ships no media libraries, so the *codec boundary* is pure
 in-repo code throughout: the deterministic image codec
@@ -11,9 +11,9 @@ in-repo code throughout: the deterministic image codec
 (functions/audiocodec.py — real, interoperable WAV), and the FVID frame
 container (functions/videocodec.py — MJPEG-style, offset-seek frame
 sampling).  A production cluster swaps each decode for
-PIL/torchaudio/ffmpeg inside the same actor; the Ray-side plumbing —
-schemas, batch sizes, actor signatures, output layout — and every
-fingerprint kernel are real and tested end to end.
+PIL/torchaudio/ffmpeg inside the same function; the Ray-side plumbing —
+schemas, batch sizes, output layout — and every fingerprint kernel are
+real and tested end to end.
 """
 
 from __future__ import annotations
@@ -24,320 +24,260 @@ import pyarrow.compute as pc
 
 from ..config import DedupConfig
 from ..functions import imagecodec as codec
-from .signatures import sized_pool
+
+_AUDIO_FEAT_DIM = 16
 
 
-def _pool(cfg: DedupConfig) -> int:
-    import ray
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(1, min(cfg.signature_concurrency, cpus - 2))
-
-
-class ImageDecodeStats:
+def decode_stats_batch(batch: pa.Table) -> pa.Table:
     """bytes -> (decode_ok, width, height, mean_luma, contrast).
-    Pixels are consumed in-actor; only scalar features are emitted."""
-
-    def __init__(self, cfg: DedupConfig):
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        n = len(payloads)
-        ok = np.zeros(n, dtype=bool)
-        w = np.zeros(n, dtype=np.int32)
-        h = np.zeros(n, dtype=np.int32)
-        luma = np.zeros(n, dtype=np.float64)
-        contrast = np.zeros(n, dtype=np.float64)
-        for i, p in enumerate(payloads):
-            try:
-                arr = codec.decode_image(p)
-            except codec.CodecError:
-                continue
-            ok[i] = True
-            h[i], w[i] = arr.shape[:2]
-            g = arr.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
-            luma[i] = g.mean()
-            contrast[i] = g.std()
-        return pa.table({
-            "image_id": batch["image_id"],
-            "decode_ok": pa.array(ok),
-            "width": pa.array(w, pa.int32()),
-            "height": pa.array(h, pa.int32()),
-            "mean_luma": pa.array(np.round(luma, 3)),
-            "contrast": pa.array(np.round(contrast, 3)),
-        })
+    Pixels are consumed in-stage; only scalar features are emitted."""
+    payloads = batch["bytes"].to_pylist()
+    n = len(payloads)
+    ok = np.zeros(n, dtype=bool)
+    w = np.zeros(n, dtype=np.int32)
+    h = np.zeros(n, dtype=np.int32)
+    luma = np.zeros(n, dtype=np.float64)
+    contrast = np.zeros(n, dtype=np.float64)
+    for i, p in enumerate(payloads):
+        try:
+            arr = codec.decode_image(p)
+        except codec.CodecError:
+            continue
+        ok[i] = True
+        h[i], w[i] = arr.shape[:2]
+        g = arr.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
+        luma[i] = g.mean()
+        contrast[i] = g.std()
+    return pa.table({
+        "image_id": batch["image_id"],
+        "decode_ok": pa.array(ok),
+        "width": pa.array(w, pa.int32()),
+        "height": pa.array(h, pa.int32()),
+        "mean_luma": pa.array(np.round(luma, 3)),
+        "contrast": pa.array(np.round(contrast, 3)),
+    })
 
 
-class ImageResize:
-    """bytes -> re-encoded thumbnail bytes at (target, target) via area
-    resampling.  Output schema mirrors the input_hint shape."""
-
-    def __init__(self, cfg: DedupConfig, target: int = 32,
-                 out_fmt: str = "png"):
-        self.cfg, self.target, self.out_fmt = cfg, target, out_fmt
-
-    def _resize(self, arr: np.ndarray) -> np.ndarray:
-        t = self.target
-        h, w = arr.shape[:2]
-        ys = (np.arange(t) * h) // t
-        xs = (np.arange(t) * w) // t
-        return arr[ys][:, xs]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        out, ok = [], []
-        for p in payloads:
-            try:
-                arr = self._resize(codec.decode_image(p))
-                out.append(codec.encode_image(arr, self.out_fmt))
-                ok.append(True)
-            except codec.CodecError:
-                out.append(b"")
-                ok.append(False)
-        t = self.target
-        return pa.table({
-            "image_id": batch["image_id"],
-            "bytes": pa.array(out, pa.binary()),
-            "w": pa.array(np.full(len(out), t, dtype=np.int32), pa.int32()),
-            "h": pa.array(np.full(len(out), t, dtype=np.int32), pa.int32()),
-            "fmt": pa.array([self.out_fmt] * len(out)),
-            "decode_ok": pa.array(ok),
-        })
+def resize_batch(batch: pa.Table, target: int = 32,
+                 out_fmt: str = "png") -> pa.Table:
+    """bytes -> re-encoded thumbnail bytes at (target, target) via
+    nearest-row/column sampling.  Output schema mirrors the input_hint
+    shape."""
+    t = target
+    out, ok = [], []
+    for p in batch["bytes"].to_pylist():
+        try:
+            arr = codec.decode_image(p)
+            h, w = arr.shape[:2]
+            arr = arr[(np.arange(t) * h) // t][:, (np.arange(t) * w) // t]
+            out.append(codec.encode_image(arr, out_fmt))
+            ok.append(True)
+        except codec.CodecError:
+            out.append(b"")
+            ok.append(False)
+    return pa.table({
+        "image_id": batch["image_id"],
+        "bytes": pa.array(out, pa.binary()),
+        "w": pa.array(np.full(len(out), t, dtype=np.int32), pa.int32()),
+        "h": pa.array(np.full(len(out), t, dtype=np.int32), pa.int32()),
+        "fmt": pa.array([out_fmt] * len(out)),
+        "decode_ok": pa.array(ok),
+    })
 
 
-class ImageEmbed:
+def embed_batch(batch: pa.Table, dim: int = 64) -> pa.Table:
     """bytes -> embedding list<float> (64-dim block-luma features).
 
-    STUB NOTE: a production cluster loads a vision model here (the
-    ``__init__``-once pattern); this environment uses the deterministic
-    block-mean features so the plumbing (broadcastable weights, batch
+    STUB NOTE: a production cluster runs a vision model here (loaded once
+    per worker, the one stage that would hold state); this environment
+    uses the deterministic block-mean features so the plumbing (batch
     inference, fixed-size list output) is exercised end to end."""
-
-    def __init__(self, cfg: DedupConfig, dim: int = 64):
-        self.cfg, self.dim = cfg, dim
-        # model load would happen here, once per actor
-        self._weights = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .signatures import _pixel_features
-        payloads = batch["bytes"].to_pylist()
-        feats = np.zeros((len(payloads), self.dim), dtype=np.float32)
-        ok = np.zeros(len(payloads), dtype=bool)
-        for i, p in enumerate(payloads):
-            try:
-                f = _pixel_features(codec.decode_image(p))
-                feats[i, :min(self.dim, f.shape[0])] = f[:self.dim]
-                ok[i] = True
-            except codec.CodecError:
-                pass
-        flat = pa.array(feats.ravel(), pa.float32())
-        return pa.table({
-            "image_id": batch["image_id"],
-            "embedding": pa.FixedSizeListArray.from_arrays(flat, self.dim),
-            "decode_ok": pa.array(ok),
-        })
+    from .signatures import _pixel_features
+    payloads = batch["bytes"].to_pylist()
+    feats = np.zeros((len(payloads), dim), dtype=np.float32)
+    ok = np.zeros(len(payloads), dtype=bool)
+    for i, p in enumerate(payloads):
+        try:
+            f = _pixel_features(codec.decode_image(p))
+            feats[i, :min(dim, f.shape[0])] = f[:dim]
+            ok[i] = True
+        except codec.CodecError:
+            pass
+    flat = pa.array(feats.ravel(), pa.float32())
+    return pa.table({
+        "image_id": batch["image_id"],
+        "embedding": pa.FixedSizeListArray.from_arrays(flat, dim),
+        "decode_ok": pa.array(ok),
+    })
 
 
-class AudioFeatures:
+def audio_features_batch(batch: pa.Table) -> pa.Table:
     """REAL audio channel: bytes (RIFF/WAVE PCM, decoded by the pure-numpy
     functions/audiocodec.py — no external libs needed for WAV) ->
     (decode_ok, duration_sec, rate, channels, rms, simhash:int64,
     features: fixed list<float> of the 16 time-averaged log band-energy
-    profile diffs).  Decoded samples are consumed in-actor; only scalar
+    profile diffs).  Decoded samples are consumed in-stage; only scalar
     features + the 64-bit spectral fingerprint leave the stage (the same
-    decode-and-drop contract as the image signature actor).  A production
+    decode-and-drop contract as the image signature stage).  A production
     cluster swaps the WAV decode for torchaudio/soundfile here; the
     fingerprint math is codec-independent."""
-
-    FEAT_DIM = 16
-
-    def __init__(self, cfg: DedupConfig):
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions import audiocodec as acodec
-        payloads = batch["bytes"].to_pylist()
-        n = len(payloads)
-        ok = np.zeros(n, dtype=bool)
-        dur = np.zeros(n, dtype=np.float64)
-        rate = np.zeros(n, dtype=np.int32)
-        chans = np.zeros(n, dtype=np.int32)
-        rms = np.zeros(n, dtype=np.float64)
-        sim = np.zeros(n, dtype=np.uint64)
-        feats = np.zeros((n, self.FEAT_DIM), dtype=np.float32)
-        from ..functions.hashing import hash_strings
-        aids = batch["audio_id"].to_pylist()
-        noise = hash_strings(aids, seed=0xA0D10)
-        for i, p in enumerate(payloads):
-            try:
-                x, r = acodec.decode_wav(p)
-            except acodec.AudioCodecError:
-                # undecodable rows get a per-ID noise fingerprint so they
-                # never share a Hamming band bucket (same rule as the
-                # image stage's decode-failure path)
-                sim[i] = noise[i]
-                continue
-            ok[i] = True
-            mono = acodec.to_mono(x)
-            dur[i] = mono.size / r
-            rate[i] = r
-            chans[i] = x.shape[1]
-            rms[i] = float(np.sqrt(np.mean(mono ** 2)))
-            sim[i] = acodec.audio_simhash64(mono)
-            e = acodec.band_energies(mono, n_bands=self.FEAT_DIM + 1)
-            prof = e.mean(axis=0)
-            feats[i] = (prof[:-1] - prof[1:]).astype(np.float32)
-        flat = pa.array(feats.ravel(), pa.float32())
-        return pa.table({
-            "audio_id": batch["audio_id"],
-            "decode_ok": pa.array(ok),
-            "duration_sec": pa.array(np.round(dur, 4)),
-            "rate": pa.array(rate, pa.int32()),
-            "channels": pa.array(chans, pa.int32()),
-            "rms": pa.array(np.round(rms, 6)),
-            "simhash": pa.array(sim.view(np.int64), pa.int64()),
-            "features": pa.FixedSizeListArray.from_arrays(flat,
-                                                          self.FEAT_DIM),
-        })
+    from ..functions import audiocodec as acodec
+    from ..functions.hashing import hash_strings
+    payloads = batch["bytes"].to_pylist()
+    n = len(payloads)
+    ok = np.zeros(n, dtype=bool)
+    dur = np.zeros(n, dtype=np.float64)
+    rate = np.zeros(n, dtype=np.int32)
+    chans = np.zeros(n, dtype=np.int32)
+    rms = np.zeros(n, dtype=np.float64)
+    sim = np.zeros(n, dtype=np.uint64)
+    feats = np.zeros((n, _AUDIO_FEAT_DIM), dtype=np.float32)
+    aids = batch["audio_id"].to_pylist()
+    noise = hash_strings(aids, seed=0xA0D10)
+    for i, p in enumerate(payloads):
+        try:
+            x, r = acodec.decode_wav(p)
+        except acodec.AudioCodecError:
+            # undecodable rows get a per-ID noise fingerprint so they
+            # never share a Hamming band bucket (same rule as the
+            # image stage's decode-failure path)
+            sim[i] = noise[i]
+            continue
+        ok[i] = True
+        mono = acodec.to_mono(x)
+        dur[i] = mono.size / r
+        rate[i] = r
+        chans[i] = x.shape[1]
+        rms[i] = float(np.sqrt(np.mean(mono ** 2)))
+        sim[i] = acodec.audio_simhash64(mono)
+        e = acodec.band_energies(mono, n_bands=_AUDIO_FEAT_DIM + 1)
+        prof = e.mean(axis=0)
+        feats[i] = (prof[:-1] - prof[1:]).astype(np.float32)
+    flat = pa.array(feats.ravel(), pa.float32())
+    return pa.table({
+        "audio_id": batch["audio_id"],
+        "decode_ok": pa.array(ok),
+        "duration_sec": pa.array(np.round(dur, 4)),
+        "rate": pa.array(rate, pa.int32()),
+        "channels": pa.array(chans, pa.int32()),
+        "rms": pa.array(np.round(rms, 6)),
+        "simhash": pa.array(sim.view(np.int64), pa.int64()),
+        "features": pa.FixedSizeListArray.from_arrays(flat,
+                                                      _AUDIO_FEAT_DIM),
+    })
 
 
-class VideoFrameSample:
+def video_frames_batch(batch: pa.Table, n_frames: int = 3) -> pa.Table:
     """REAL video channel: sample ``n_frames`` evenly-spaced frames per
     FVID payload (functions/videocodec.py — offset seek decodes ONLY the
-    sampled frames, the keyframe-seek property a production ffmpeg actor
+    sampled frames, the keyframe-seek property a production ffmpeg stage
     has) and emit one row per sampled frame: (video_id, frame_idx,
     decode_ok, w, h, frame_phash) — a genuine 1-row-in / k-rows-out
-    flat map.  Frames are consumed in-actor; only per-frame scalars
+    flat map.  Frames are consumed in-stage; only per-frame scalars
     leave the stage.  A production cluster swaps the FVID parse for
     ffmpeg/pyav here; sampling + phash are container-independent."""
-
-    def __init__(self, cfg: DedupConfig, n_frames: int = 3):
-        self.cfg, self.n_frames = cfg, n_frames
-        codec._DCT32 @ codec._DCT32.T       # pay DCT setup once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions import videocodec as vcodec
-        vids, fidx, ok, ws, hs, ph = [], [], [], [], [], []
-        ids = batch["video_id"].to_pylist()
-        for vid, p in zip(ids, batch["bytes"].to_pylist()):
+    from ..functions import videocodec as vcodec
+    vids, fidx, ok, ws, hs, ph = [], [], [], [], [], []
+    ids = batch["video_id"].to_pylist()
+    for vid, p in zip(ids, batch["bytes"].to_pylist()):
+        try:
+            n, _, _ = vcodec.video_info(p)
+            idxs = vcodec.sample_indices(n, n_frames)
+        except vcodec.VideoCodecError:
+            vids.append(vid); fidx.append(-1); ok.append(False)
+            ws.append(0); hs.append(0); ph.append(0)
+            continue
+        for i in idxs:
+            vids.append(vid)
+            fidx.append(int(i))
             try:
-                n, _, _ = vcodec.video_info(p)
-                idxs = vcodec.sample_indices(n, self.n_frames)
+                fr = vcodec.decode_frame(p, int(i))
             except vcodec.VideoCodecError:
-                vids.append(vid); fidx.append(-1); ok.append(False)
-                ws.append(0); hs.append(0); ph.append(0)
+                ok.append(False); ws.append(0); hs.append(0); ph.append(0)
                 continue
-            for i in idxs:
-                vids.append(vid)
-                fidx.append(int(i))
-                try:
-                    fr = vcodec.decode_frame(p, int(i))
-                except vcodec.VideoCodecError:
-                    ok.append(False); ws.append(0); hs.append(0); ph.append(0)
-                    continue
-                ok.append(True)
-                hs.append(fr.shape[0]); ws.append(fr.shape[1])
-                ph.append(int(np.uint64(codec.phash64(fr)).view(np.int64)))
-        return pa.table({
-            "video_id": pa.array(vids, pa.string()),
-            "frame_idx": pa.array(fidx, pa.int32()),
-            "decode_ok": pa.array(ok),
-            "w": pa.array(ws, pa.int32()),
-            "h": pa.array(hs, pa.int32()),
-            "frame_phash": pa.array(ph, pa.int64()),
-        })
+            ok.append(True)
+            hs.append(fr.shape[0]); ws.append(fr.shape[1])
+            ph.append(int(np.uint64(codec.phash64(fr)).view(np.int64)))
+    return pa.table({
+        "video_id": pa.array(vids, pa.string()),
+        "frame_idx": pa.array(fidx, pa.int32()),
+        "decode_ok": pa.array(ok),
+        "w": pa.array(ws, pa.int32()),
+        "h": pa.array(hs, pa.int32()),
+        "frame_phash": pa.array(ph, pa.int64()),
+    })
 
 
-class VideoSignature:
+def video_signature_batch(batch: pa.Table, n_frames: int = 4) -> pa.Table:
     """Per-video 64-bit fingerprint: sampled frame phashes folded by
     bitwise majority (functions/videocodec.video_hash64), plus the frame
     phash list for slot-wise verification.  Undecodable payloads get a
     per-ID noise hash (never pair)."""
-
-    def __init__(self, cfg: DedupConfig, n_frames: int = 4):
-        self.cfg, self.n_frames = cfg, n_frames
-        codec._DCT32 @ codec._DCT32.T
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions import videocodec as vcodec
-        from ..functions.hashing import hash_strings
-        ids = batch["video_id"].to_pylist()
-        noise = hash_strings(ids, seed=0x51DE0)
-        n = len(ids)
-        vh = np.zeros(n, dtype=np.uint64)
-        ok = np.zeros(n, dtype=bool)
-        fr_ph: list[list[int]] = []
-        for i, p in enumerate(batch["bytes"].to_pylist()):
-            try:
-                nf, _, _ = vcodec.video_info(p)
-                idxs = vcodec.sample_indices(nf, self.n_frames)
-                phs = np.array([codec.phash64(vcodec.decode_frame(p, int(j)))
-                                for j in idxs], dtype=np.uint64)
-            except vcodec.VideoCodecError:
-                vh[i] = noise[i]
-                fr_ph.append([])
-                continue
-            ok[i] = True
-            vh[i] = vcodec.video_hash64(phs)
-            fr_ph.append(phs.view(np.int64).tolist())
-        return pa.table({
-            "video_id": batch["video_id"],
-            "decode_ok": pa.array(ok),
-            "vhash": pa.array(vh.view(np.int64), pa.int64()),
-            "frame_phashes": pa.array(fr_ph, pa.list_(pa.int64())),
-        })
+    from ..functions import videocodec as vcodec
+    from ..functions.hashing import hash_strings
+    ids = batch["video_id"].to_pylist()
+    noise = hash_strings(ids, seed=0x51DE0)
+    n = len(ids)
+    vh = np.zeros(n, dtype=np.uint64)
+    ok = np.zeros(n, dtype=bool)
+    fr_ph: list[list[int]] = []
+    for i, p in enumerate(batch["bytes"].to_pylist()):
+        try:
+            nf, _, _ = vcodec.video_info(p)
+            idxs = vcodec.sample_indices(nf, n_frames)
+            phs = np.array([codec.phash64(vcodec.decode_frame(p, int(j)))
+                            for j in idxs], dtype=np.uint64)
+        except vcodec.VideoCodecError:
+            vh[i] = noise[i]
+            fr_ph.append([])
+            continue
+        ok[i] = True
+        vh[i] = vcodec.video_hash64(phs)
+        fr_ph.append(phs.view(np.int64).tolist())
+    return pa.table({
+        "video_id": batch["video_id"],
+        "decode_ok": pa.array(ok),
+        "vhash": pa.array(vh.view(np.int64), pa.int64()),
+        "frame_phashes": pa.array(fr_ph, pa.list_(pa.int64())),
+    })
 
 
 def decode_stats(ds, cfg: DedupConfig):
-    bs = cfg.signature_batch_size
-    return ds.map_batches(ImageDecodeStats, fn_constructor_args=(cfg,),
-                          batch_format="pyarrow", batch_size=bs,
-                          concurrency=sized_pool(ds, _pool(cfg), bs),
-                          num_cpus=1)
+    return ds.map_batches(decode_stats_batch, batch_format="pyarrow",
+                          batch_size=cfg.signature_batch_size)
 
 
 def resize_images(ds, cfg: DedupConfig, target: int = 32):
-    bs = cfg.signature_batch_size
-    return ds.map_batches(ImageResize, fn_constructor_args=(cfg, target),
-                          batch_format="pyarrow", batch_size=bs,
-                          concurrency=sized_pool(ds, _pool(cfg), bs),
-                          num_cpus=1)
+    return ds.map_batches(resize_batch, fn_kwargs={"target": target},
+                          batch_format="pyarrow",
+                          batch_size=cfg.signature_batch_size)
 
 
 def embed_images(ds, cfg: DedupConfig, dim: int = 64):
-    bs = cfg.signature_batch_size
-    return ds.map_batches(ImageEmbed, fn_constructor_args=(cfg, dim),
-                          batch_format="pyarrow", batch_size=bs,
-                          concurrency=sized_pool(ds, _pool(cfg), bs),
-                          num_cpus=1)
+    return ds.map_batches(embed_batch, fn_kwargs={"dim": dim},
+                          batch_format="pyarrow",
+                          batch_size=cfg.signature_batch_size)
 
 
 def sample_video_frames(ds, cfg: DedupConfig, n_frames: int = 3):
-    bs = max(cfg.signature_batch_size // 8, 32)
-    return ds.map_batches(VideoFrameSample,
-                          fn_constructor_args=(cfg, n_frames),
-                          batch_format="pyarrow", batch_size=bs,
-                          concurrency=sized_pool(ds, _pool(cfg), bs),
-                          num_cpus=1)
+    return ds.map_batches(video_frames_batch,
+                          fn_kwargs={"n_frames": n_frames},
+                          batch_format="pyarrow",
+                          batch_size=max(cfg.signature_batch_size // 8, 32))
 
 
 def video_signatures(ds, cfg: DedupConfig, n_frames: int = 4):
-    bs = max(cfg.signature_batch_size // 8, 32)
-    return ds.map_batches(VideoSignature,
-                          fn_constructor_args=(cfg, n_frames),
-                          batch_format="pyarrow", batch_size=bs,
-                          concurrency=sized_pool(ds, _pool(cfg), bs),
-                          num_cpus=1)
+    return ds.map_batches(video_signature_batch,
+                          fn_kwargs={"n_frames": n_frames},
+                          batch_format="pyarrow",
+                          batch_size=max(cfg.signature_batch_size // 8, 32))
 
 
 def video_dedup_pairs(ds, cfg: DedupConfig, *, n_frames: int = 4,
                       max_ham: int = 3, slot_ham_max: int = 3):
     """End-to-end video near-dup pairs — candidates->verify like the audio
-    channel: (1) frame-sampled phash majority fold per video in the actor
-    pool, (2) exact pigeonhole Hamming-ball candidates on the 64-bit
+    channel: (1) frame-sampled phash majority fold per video in a map
+    stage, (2) exact pigeonhole Hamming-ball candidates on the 64-bit
     video hash (measured: re-encoded dups <= 1 bit vs cross-video min 14),
     (3) slot-wise verification — every sampled frame pair within
     ``slot_ham_max`` phash bits (measured dup slot max 2)."""
@@ -390,11 +330,8 @@ def video_dedup_pairs(ds, cfg: DedupConfig, *, n_frames: int = 4,
 
 
 def audio_features(ds, cfg: DedupConfig):
-    bs = max(cfg.signature_batch_size // 4, 64)
-    return ds.map_batches(AudioFeatures, fn_constructor_args=(cfg,),
-                          batch_format="pyarrow", batch_size=bs,
-                          concurrency=sized_pool(ds, _pool(cfg), bs),
-                          num_cpus=1)
+    return ds.map_batches(audio_features_batch, batch_format="pyarrow",
+                          batch_size=max(cfg.signature_batch_size // 4, 64))
 
 
 def audio_dedup_pairs(ds, cfg: DedupConfig, *, max_ham: int = 8,
@@ -403,7 +340,7 @@ def audio_dedup_pairs(ds, cfg: DedupConfig, *, max_ham: int = 8,
     split in one stage chain:
 
       1. WAV decode + 64-bit spectral fingerprint + 16-dim band profile
-         in the actor pool (one payload traversal),
+         in one map stage (one payload traversal),
       2. CANDIDATES: exact pigeonhole Hamming-ball pairs (<= ``max_ham``
          bits) over the fingerprints (stages/simhash_pairs.py),
       3. VERIFY: attach each side's continuous band profile via the

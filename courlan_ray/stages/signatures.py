@@ -1,16 +1,18 @@
-"""Signature stage: the stateful actor-pool ``map_batches``.
+"""Signature stage: a stateless ``map_batches`` task.
 
-Per actor (``__init__``, once): MinHash permutation salts, DCT matrix warm,
-codec state — the per-process LRU-cache pattern of the reference
-(/root/reference/courlan/filters.py:180, meta.py:20-24) made explicit.
+``signature_batch`` holds no state between batches: the MinHash salts
+are derived from ``cfg.seed`` per call and the DCT matrix
+(``codec._DCT32``) is built when the module is imported, so Ray Data runs
+it as plain tasks that schedule on any free CPU.  There is no actor pool
+to size and none that can hold the only CPU and starve the read stage.
 
-Per batch (``__call__``): decode pixels -> recompute phash (verifying the
+Per batch: decode pixels -> recompute phash (verifying the
 precomputed ``phash`` column) + pixel SimHash; caption shingles -> MinHash
 signature + caption SimHash; winnowing substring fingerprints.  Decoded
 pixels are dropped before return — only narrow signature columns ever reach
 a shuffle (SURVEY.md §4 memory row).
 
-With ``with_gates=True`` the actor runs the canonicalization gate chain
+With ``with_gates=True`` the stage runs the canonicalization gate chain
 (stages/canonicalize.py, the check_url generalization) on the raw batch
 first and emits EVERY row — invalid rows keep ``valid=False`` /
 ``reject_reason`` and get empty signatures.  This fuses
@@ -184,124 +186,71 @@ def text_sigtable(ids: pa.Array, captions: pa.Array,
     })
 
 
-class SignatureActor:
-    """Callable class for ``map_batches(SignatureActor, fn_constructor_args=
-    (cfg,), concurrency=N)`` — setup once per actor, vectorized per batch."""
+def signature_batch(batch: pa.Table, cfg: DedupConfig,
+                    with_gates: bool = False) -> pa.Table:
+    """One batch of input rows -> sigtable rows (vectorized)."""
+    if with_gates:
+        from .canonicalize import canonicalize_batch
+        batch = canonicalize_batch(batch, cfg)
+        valid = batch["valid"].to_numpy(zero_copy_only=False)
+        reject = batch["reject_reason"]
+    else:
+        valid = np.ones(batch.num_rows, dtype=bool)
+        reject = pa.array([""] * batch.num_rows, pa.string())
+    n = batch.num_rows
+    vidx = np.flatnonzero(valid)
+    rows = vidx if len(vidx) < n else None
+    vb = batch.take(pa.array(vidx, pa.int64())) if rows is not None \
+        else batch
+    captions = vb["caption_key"].to_pylist()
+    cap = caption_signatures(captions, cfg, rows, n)
 
-    def __init__(self, cfg: DedupConfig, with_gates: bool = False):
-        self.cfg = cfg
-        self.with_gates = with_gates
-        # touch the module-level DCT matrix so first-batch latency is paid here
-        codec._DCT32 @ codec._DCT32.T
+    in_phash = vb["phash"].to_numpy(zero_copy_only=False) \
+        .astype(np.int64).view(_U64)
+    v_phash, v_simpix, v_ok = pixel_hashes_batch(vb["bytes"].to_pylist())
+    # decode failure: keep the input phash (can't verify it) and give the
+    # pixel SimHash a per-row noise value so failed rows never share a
+    # pixel band bucket (banding additionally skips decode_ok=False rows)
+    fail = ~v_ok
+    if fail.any():
+        v_phash[fail] = in_phash[fail]
+        v_simpix[fail] = splitmix64(
+            hash_strings(np.asarray(captions, dtype=object)[fail],
+                         seed=cfg.seed + 9) ^ _U64(0xDEAD))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        if self.with_gates:
-            from .canonicalize import canonicalize_batch
-            batch = canonicalize_batch(batch, cfg)
-            valid = batch["valid"].to_numpy(zero_copy_only=False)
-            reject = batch["reject_reason"]
-        else:
-            valid = np.ones(batch.num_rows, dtype=bool)
-            reject = pa.array([""] * batch.num_rows, pa.string())
-        n = batch.num_rows
-        vidx = np.flatnonzero(valid)
-        rows = vidx if len(vidx) < n else None
-        vb = batch.take(pa.array(vidx, pa.int64())) if rows is not None \
-            else batch
-        captions = vb["caption_key"].to_pylist()
-        cap = caption_signatures(captions, cfg, rows, n)
+    # scatter valid-row results back to full batch length
+    phash = _scatter(v_phash, rows, n)
+    simpix = _scatter(v_simpix, rows, n)
+    ok = _scatter(v_ok, rows, n)
+    # variant-invariant exact-dup key (stages/exact_dedup.py), computed
+    # here so the exact stage needs no extra pass over the sigtable
+    exact_key = exact_keys(batch["caption_key"].to_pylist(), phash,
+                           cfg.seed)
 
-        in_phash = vb["phash"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64).view(_U64)
-        v_phash, v_simpix, v_ok = pixel_hashes_batch(vb["bytes"].to_pylist())
-        # decode failure: keep the input phash (can't verify it) and give the
-        # pixel SimHash a per-row noise value so failed rows never share a
-        # pixel band bucket (banding additionally skips decode_ok=False rows)
-        fail = ~v_ok
-        if fail.any():
-            v_phash[fail] = in_phash[fail]
-            v_simpix[fail] = splitmix64(
-                hash_strings(np.asarray(captions, dtype=object)[fail],
-                             seed=cfg.seed + 9) ^ _U64(0xDEAD))
-
-        # scatter valid-row results back to full batch length
-        phash = _scatter(v_phash, rows, n)
-        simpix = _scatter(v_simpix, rows, n)
-        ok = _scatter(v_ok, rows, n)
-        # variant-invariant exact-dup key (stages/exact_dedup.py), computed
-        # here so the exact stage needs no extra pass over the sigtable
-        exact_key = exact_keys(batch["caption_key"].to_pylist(), phash,
-                               cfg.seed)
-
-        return pa.table({
-            "image_id": batch["image_id"],
-            "caption_key": batch["caption_key"],
-            "valid": pa.array(valid),
-            "reject_reason": reject,
-            "exact_key": pa.array(exact_key, pa.int64()),
-            "minhash": cap["minhash"],
-            "simhash_cap": cap["simhash_cap"],
-            "simhash_pix": pa.array(simpix.view(np.int64), pa.int64()),
-            "phash": pa.array(phash.view(np.int64), pa.int64()),
-            "fingerprints": cap["fingerprints"],
-            "fp_pairs": cap["fp_pairs"],
-            "shingle_count": cap["shingle_count"],
-            "decode_ok": pa.array(ok),
-        })
-
-
-def sized_pool(ds, pool: int, batch_size: int) -> int:
-    """Cap an actor pool at ~2 batches per actor when the input's row count
-    is metadata-known (fresh parquet read: footer counts, no execution) —
-    a 20k-row input needs 10 signature actors, not 24 idle-starting
-    processes (measured 4.7 s -> 3.8-4.0 s for the standalone stage).
-    Unknown count (None, e.g. a transformed dataset) or large inputs keep
-    the full fixed pool."""
-    try:
-        meta_rows = ds._meta_count()
-    except Exception:
-        meta_rows = None
-    if meta_rows is not None:   # 0 rows is KNOWN-empty: cap at the floor,
-        batches = -(-int(meta_rows) // max(1, batch_size))  # not full pool
-        # a cap only: never RAISE the pool above its configured size (a
-        # 1-actor pool on a 2-CPU cluster must stay 1 — two actors would
-        # reserve every CPU and starve the read stage)
-        pool = min(pool, max(2, -(-batches // 2)))
-    return pool
-
-
-def _pool_size(cfg: DedupConfig) -> int:
-    """Size the pool to 3/4 of cluster CPUs so the pool never reserves
-    every CPU and starves the read stage (a pool that owns the whole node
-    serializes the pipeline).  Proportional — not ``cpus - 2`` — so the
-    stage's resource share is identical at every cluster size (a constant
-    subtraction gave small clusters a disproportionally small pool,
-    distorting scaling measurements)."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(1, min(cfg.signature_concurrency, (3 * cpus) // 4))
+    return pa.table({
+        "image_id": batch["image_id"],
+        "caption_key": batch["caption_key"],
+        "valid": pa.array(valid),
+        "reject_reason": reject,
+        "exact_key": pa.array(exact_key, pa.int64()),
+        "minhash": cap["minhash"],
+        "simhash_cap": cap["simhash_cap"],
+        "simhash_pix": pa.array(simpix.view(np.int64), pa.int64()),
+        "phash": pa.array(phash.view(np.int64), pa.int64()),
+        "fingerprints": cap["fingerprints"],
+        "fp_pairs": cap["fp_pairs"],
+        "shingle_count": cap["shingle_count"],
+        "decode_ok": pa.array(ok),
+    })
 
 
 def compute_signatures(ds, cfg: DedupConfig, *, with_gates: bool = False):
-    """Rows -> signature table via an actor pool; the binary payload is
-    consumed here and never emitted.  ``with_gates=True`` fuses the
-    canonicalization gate chain in front (see module docstring)."""
-    pool = sized_pool(ds, _pool_size(cfg), cfg.signature_batch_size)
+    """Rows -> signature table as stateless Ray Data tasks; the binary
+    payload is consumed here and never emitted.  ``with_gates=True`` fuses
+    the canonicalization gate chain in front (see module docstring)."""
     return ds.map_batches(
-        SignatureActor,
-        fn_constructor_args=(cfg, with_gates),
+        signature_batch,
+        fn_kwargs={"cfg": cfg, "with_gates": with_gates},
         batch_format="pyarrow",
         batch_size=cfg.signature_batch_size,
-        # FIXED pool: the autoscaler ramps on queue pressure and reaches
-        # full width too late — measured 12.9 s (fixed 12) vs 20.9 s
-        # (auto 1..12) for the same 200k-row stage at 16 CPUs, and worse
-        # in-pipeline (46.7 s).  Small inputs pay a few idle actor starts;
-        # the scaling bar pays for ramp lag at every cluster size.
-        concurrency=pool,
-        num_cpus=1,
     )

@@ -194,7 +194,7 @@ def _verdicts(cfg: DedupConfig, *, mh_l, mh_r, ph_l, ph_r, sp_l, sp_r,
         idx = np.flatnonzero(need)
 
         # per-pair fingerprint intersection |fp_l ∩ fp_r|, exploiting that
-        # print lists are stored SORTED per row (signature actors): key =
+        # print lists are stored SORTED per row (signature stage): key =
         # (local pair ordinal << 44) | (print >> 20) is then globally
         # sorted on the probe side with NO sort here — just two gathers +
         # one searchsorted.  (A pandas explode+merge measured 67 s for

@@ -1,8 +1,9 @@
-"""Fault injection: a signature/map actor SIGKILLed mid-flagship-run must
-not change the output — Ray restarts the actor and retries its in-flight
-tasks (lineage reconstruction), so the run completes with byte-identical
-cluster assignments.  (Between-stage crash + shard-granular resume is
-covered in tests/test_manifest.py.)"""
+"""Fault injection: a worker process SIGKILLed while it runs a map task
+mid-flagship-run must not change the output — Ray Data submits its map
+tasks with ``max_retries=-1``, so the killed task is retried on another
+worker and the run completes with byte-identical cluster assignments.
+(Between-stage crash + shard-granular resume is covered in
+tests/test_manifest.py.)"""
 
 import os
 import signal
@@ -30,11 +31,20 @@ def _flagship_clusters():
 
 
 def _live_map_workers():
-    import ray
-    acts = ray._private.state.actors().values()
-    return [a for a in acts
-            if a.get("State") == "ALIVE"
-            and "MapWorker(" in a.get("ActorClassName", "")]
+    """(pid, title) of every worker process running a map task now: Ray
+    sets a busy worker's process title to ``ray::<task name>``, and Ray
+    Data names a map task after its (fused) operator."""
+    live = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                raw = fh.read()
+        except OSError:
+            continue
+        title = raw.replace(b"\0", b" ").decode(errors="replace").strip()
+        if title.startswith("ray::") and "MapBatches(" in title:
+            live.append((int(pid), title))
+    return live
 
 
 @pytest.mark.slow
@@ -55,16 +65,16 @@ def test_actor_kill_mid_run_is_invisible(ray_session):
     deadline = time.time() + 120
     while time.time() < deadline and t.is_alive():
         live = _live_map_workers()
-        # prefer the stateful signature actor pool; fall back to any map
-        # worker (both must be restart-safe on a 256-node cluster)
-        live.sort(key=lambda a: "Signature" not in a["ActorClassName"])
+        # prefer the signature stage; fall back to any map task (both
+        # must be retry-safe on a 256-node cluster)
+        live.sort(key=lambda w: "signature" not in w[1])
         if live and not killed:
-            os.kill(live[0]["Pid"], signal.SIGKILL)
-            killed.append(live[0]["ActorClassName"])
+            os.kill(live[0][0], signal.SIGKILL)
+            killed.append(live[0][1])
             break
         time.sleep(0.02)
     t.join()
 
-    assert killed, "no live map-actor observed to kill (run too fast?)"
-    assert "err" not in res, f"pipeline died after actor kill: {res['err']}"
+    assert killed, "no running map task observed to kill (run too fast?)"
+    assert "err" not in res, f"pipeline died after worker kill: {res['err']}"
     pd.testing.assert_frame_equal(res["df"], baseline, check_exact=True)

@@ -93,3 +93,17 @@ def test_wordpress_ordered_mode_refuses_oversize(ray_session, monkeypatch):
         helpers.wordpress_sources(ds, ordered=True)
     # the scale path still works on the same input
     assert helpers.wordpress_sources(ds, ordered=False).count() >= 1
+
+
+def test_wordpress_ordered_mode_accepts_input_at_cap(ray_session, monkeypatch):
+    """An input of exactly the cap is accepted, and the capped run gives
+    the same rows as an uncapped one."""
+    import ray.data as rd
+    from courlan_ray.pipelines import helpers
+
+    ds = rd.from_items([{"text": u} for u in WP_URLS])
+    want = helpers.wordpress_sources(ds, ordered=True).to_pandas()
+    monkeypatch.setattr(helpers, "_ORDERED_PARITY_MAX_ROWS", len(WP_URLS))
+    got = helpers.wordpress_sources(ds, ordered=True).to_pandas()
+    assert len(got) >= 4
+    assert got.equals(want)

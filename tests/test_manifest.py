@@ -31,7 +31,7 @@ def _run(synth_path, ck_root, cfg):
 
 
 def test_resume_skips_completed_stages(synth_path, tmp_path):
-    cfg = DedupConfig(signature_concurrency=2)
+    cfg = DedupConfig()
     root = str(tmp_path / "ck")
     c1, ck1 = _run(synth_path, root, cfg)
     statuses1 = {r["stage"]: r["status"] for r in ck1.records()}
@@ -46,7 +46,7 @@ def test_resume_skips_completed_stages(synth_path, tmp_path):
 
 
 def test_config_change_invalidates_downstream_only(synth_path, tmp_path):
-    cfg = DedupConfig(signature_concurrency=2)
+    cfg = DedupConfig()
     root = str(tmp_path / "ck")
     _run(synth_path, root, cfg)
 
@@ -73,7 +73,7 @@ def test_config_change_invalidates_downstream_only(synth_path, tmp_path):
 def test_mid_run_kill_resume(synth_path, tmp_path):
     """Simulate a crash after the signature stage: later stage dirs are
     missing, earlier ones survive; resume recomputes only the tail."""
-    cfg = DedupConfig(signature_concurrency=2)
+    cfg = DedupConfig()
     root = str(tmp_path / "ck")
     c1, ck1 = _run(synth_path, root, cfg)
     # wipe the candidate + pair checkpoints ("killed mid-run")

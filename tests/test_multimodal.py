@@ -15,7 +15,7 @@ def img_ds():
 
 
 def test_decode_stats(img_ds):
-    cfg = DedupConfig(signature_concurrency=1)
+    cfg = DedupConfig()
     out = M.decode_stats(img_ds, cfg).to_pandas()
     assert len(out) == 200
     ok = out[out.decode_ok]
@@ -26,7 +26,7 @@ def test_decode_stats(img_ds):
 
 def test_resize_roundtrip(img_ds):
     from courlan_ray.functions import imagecodec as C
-    cfg = DedupConfig(signature_concurrency=1)
+    cfg = DedupConfig()
     out = M.resize_images(img_ds, cfg, target=16).to_pandas()
     row = out[out.decode_ok].iloc[0]
     arr = C.decode_image(row["bytes"])
@@ -35,7 +35,7 @@ def test_resize_roundtrip(img_ds):
 
 
 def test_embed_images(img_ds):
-    cfg = DedupConfig(signature_concurrency=1)
+    cfg = DedupConfig()
     out = M.embed_images(img_ds, cfg, dim=64).to_pandas()
     ok = out[out.decode_ok]
     vecs = np.stack(ok["embedding"].to_numpy())
@@ -51,15 +51,14 @@ def test_embed_images(img_ds):
 
 def test_garbage_payloads_flagged_not_raised():
     import pyarrow as pa
-    cfg = DedupConfig()
     # audio and video are REAL since round 3 (pure-numpy WAV + FVID
     # codecs); garbage payloads decode to decode_ok=False, never raise
-    out = M.AudioFeatures(cfg)(pa.table({"audio_id": ["a"],
+    out = M.audio_features_batch(pa.table({"audio_id": ["a"],
+                                           "bytes": [b"x"]}))
+    assert out["decode_ok"].to_pylist() == [False]
+    out = M.video_frames_batch(pa.table({"video_id": ["v"],
                                          "bytes": [b"x"]}))
     assert out["decode_ok"].to_pylist() == [False]
-    out = M.VideoFrameSample(cfg)(pa.table({"video_id": ["v"],
+    out = M.video_signature_batch(pa.table({"video_id": ["v"],
                                             "bytes": [b"x"]}))
-    assert out["decode_ok"].to_pylist() == [False]
-    out = M.VideoSignature(cfg)(pa.table({"video_id": ["v"],
-                                          "bytes": [b"x"]}))
     assert out["decode_ok"].to_pylist() == [False]

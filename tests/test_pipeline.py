@@ -23,7 +23,7 @@ def synth_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def result(synth_path):
     import ray.data as rd
-    cfg = DedupConfig(signature_concurrency=2)
+    cfg = DedupConfig()
     out = dedup_pipeline(rd.read_parquet(synth_path), cfg)
     clusters = out["clusters"].to_pandas()
     counters = out["counters"].to_pandas()
@@ -100,8 +100,7 @@ def test_forced_scale_paths_small_cluster(synth_path):
     lives in joins.keyed_shuffle_partitions + courlan_ray.__init__.
     Completing at all — with unchanged recall — is the assertion."""
     import ray.data as rd
-    cfg = DedupConfig(signature_concurrency=2,
-                      lsh_driver_link_max=0,
+    cfg = DedupConfig(lsh_driver_link_max=0,
                       verify_broadcast_max=0,
                       driver_cc_max_pairs=0)
     out = dedup_pipeline(rd.read_parquet(synth_path), cfg)
@@ -132,3 +131,46 @@ def test_single_row_and_empty_inputs(synth_path):
     assert empty["verified_pairs"].count() == 0
     assert empty["clusters"].schema().names == [
         "image_id", "cluster_id", "cluster_size", "is_representative"]
+
+
+_ONE_CPU_RUN = """
+import ray, ray.data as rd
+ray.init(address="local", num_cpus=1, object_store_memory=256 << 20,
+         include_dashboard=False, logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+from courlan_ray.config import DedupConfig
+from courlan_ray.pipelines.image_dedup import dedup_pipeline
+from courlan_ray.sources.synth import synth_parquet
+out = dedup_pipeline(rd.read_parquet(synth_parquet(500, 42, root={root!r})),
+                     DedupConfig())
+print("clusters", out["clusters"].to_pandas()["cluster_id"].nunique())
+ray.shutdown()
+"""
+
+
+def test_flagship_completes_on_one_cpu(tmp_path):
+    """A one-CPU cluster runs the flagship to the end: every map stage is a
+    task that frees its CPU between batches, so no stage can hold the only
+    CPU while the read stage waits for it.  Runs in its own process (and
+    process group) with its own cluster; a hang is killed with the whole
+    group so no raylet outlives the test."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_RUN.format(root=str(tmp_path))],
+        cwd=repo, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("flagship did not finish within 120 s on one CPU")
+    assert proc.returncode == 0, err[-2000:]
+    n_clusters = int(out.split("clusters")[-1].split()[0])
+    assert n_clusters > 0

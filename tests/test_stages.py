@@ -85,7 +85,7 @@ def test_candidate_pairs_find_planted_cliques():
     from courlan_ray.stages.lsh import candidate_pairs
     from courlan_ray.functions.imagecodec import encode_image
     from courlan_ray.sources.synth import make_image
-    cfg = DedupConfig(signature_concurrency=1)
+    cfg = DedupConfig()
     rows = []
     for i in range(30):
         img = make_image(i, 64, 7)
@@ -112,7 +112,7 @@ def test_hot_bucket_salting_preserves_connectivity():
     from courlan_ray.stages.components import cluster_assignments
     from courlan_ray.functions.imagecodec import encode_image
     from courlan_ray.sources.synth import make_image
-    cfg = DedupConfig(signature_concurrency=1, num_salts=4)
+    cfg = DedupConfig(num_salts=4)
     # 40 rows with the SAME caption (hot band), distinct images
     rows = [{"image_id": f"h{i:03d}",
              "caption_key": "identical hot caption shared by many rows",
@@ -269,27 +269,3 @@ def test_clear_caches_drops_broadcast_caches():
     assert ann._block_cache_used == 0
     # cache refills transparently after the drop
     assert joins.cached_get(ref) == {"x": 1}
-
-
-def test_sized_pool_bounds():
-    """sized_pool is a CAP on a configured actor pool, never a raise
-    (round-4 review: a 1-actor pool on a 2-CPU cluster must stay 1), and
-    leaves unknown-size inputs untouched."""
-    from courlan_ray.stages.signatures import sized_pool
-
-    class Known:
-        def __init__(self, n):
-            self.n = n
-
-        def _meta_count(self):
-            return self.n
-
-    class Unknown:
-        def _meta_count(self):
-            return None
-
-    assert sized_pool(Known(20_000), 24, 1024) == 10   # ~2 batches/actor
-    assert sized_pool(Known(20_000), 1, 1024) == 1     # never raised
-    assert sized_pool(Known(1), 24, 1024) == 2         # cap floor is 2
-    assert sized_pool(Unknown(), 24, 1024) == 24       # unknown: unchanged
-    assert sized_pool(Known(10_000_000), 24, 1024) == 24   # large: full pool

@@ -30,7 +30,7 @@ def _docs():
 def test_text_dedup_clusters_planted_pairs():
     import ray.data as rd
     ds = rd.from_pandas(_docs())
-    out = text_dedup_pipeline(ds, DedupConfig(signature_concurrency=1))
+    out = text_dedup_pipeline(ds, DedupConfig())
     clusters = out["clusters"].to_pandas().set_index("image_id")["cluster_id"]
     assert clusters["0"] == clusters["100"]          # exact dup
     assert clusters["1"] == clusters["101"]          # near-dup edit
@@ -53,7 +53,7 @@ def test_text_and_image_signatures_agree():
     from courlan_ray.stages.signatures import compute_signatures
 
     texts = _docs()["text"].str.lower().tolist()[58:] + ["", "ab", BASE]
-    cfg = DedupConfig(signature_concurrency=1)
+    cfg = DedupConfig()
     docs = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
     images = pd.DataFrame({
         "image_id": [str(i) for i in range(len(texts))],
