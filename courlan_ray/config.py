@@ -69,9 +69,10 @@ class DedupConfig:
                                            # above -> keyed hash-shuffle
                                            # (driver lexsort+take of multi-M
                                            # rows is a 10-25 s serial floor)
-    verify_broadcast_max: int = 2_000_000  # signature rows: below -> numpy
-                                           # broadcast pack; above ->
+    verify_broadcast_max: int = 2_000_000  # signature rows: below ->
+                                           # broadcast probe; above ->
                                            # partitioned pair<->signature join
+                                           # (both: joins.hash_join_pairs)
 
     # --- sampling (courlan sample_urls generalization) ---
     sample_k: int = 1                      # representatives per cluster

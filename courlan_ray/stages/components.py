@@ -14,6 +14,10 @@ scale"):
 
 ``cluster_id`` is the minimum ``image_id`` of the component — order-free
 determinism (SURVEY.md §4): no dependence on arrival order or parallelism.
+Both paths end in ``assign_clusters``: one left ``attach_by_key`` of the
+component table onto every valid id, which also yields the cluster size and
+the one-per-cluster representative (the minimum id, UrlStore's one-per-domain
+draw generalized).
 """
 
 from __future__ import annotations
@@ -158,91 +162,61 @@ def _label_digest(labels_ds) -> int:
 
 
 def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
-    """edges + all valid ids -> (image_id, cluster_id, is_representative,
-    cluster_size) in one pass.
+    """edges + all valid ids -> (image_id, cluster_id, cluster_size,
+    is_representative).
 
-    Small-edge path (below ``cfg.driver_cc_max_pairs``): vectorized driver
-    union-find, then ONE broadcast ``map_batches`` emits assignment,
-    representative flag and cluster size together — replacing the
-    assign-join + per-cluster-aggregate + re-join chain (3 stage barriers)
-    with a single map.  Large path: distributed label propagation followed
-    by the join-based assign + representatives stages."""
-    import ray
-    from ..functions.hashing import hash_strings
-    from .joins import cached_get
-    from .sampling import cluster_representatives
+    Components come from the vectorized driver union-find below
+    ``cfg.driver_cc_max_pairs`` edges (one typed block, sizes counted in
+    pandas) and from distributed label propagation above it (sizes from a
+    grouped count, attached by ``cluster_id``); ``assign_clusters`` then
+    covers every valid id."""
+    import ray.data as rd
+    from .agg import grouped_agg
+    from .joins import attach_by_key
 
     edges_ds = edges_ds.select_columns(["left_id", "right_id"]).materialize()
     n_edges = edges_ds.count()      # metadata-only; no second execution
     if n_edges > cfg.driver_cc_max_pairs:
         comp = distributed_components(edges_ds, cfg,
                                       approx_nodes=2 * n_edges)
-        assigned = assign_clusters(all_ids_ds, comp, cfg)
-        return cluster_representatives(assigned, cfg)
-
-    if n_edges == 0:
-        comp_df = pd.DataFrame({"image_id": [], "cluster_id": []})
+        sizes = grouped_agg(comp, ["cluster_id"],
+                            [("image_id", "count", "cluster_size")],
+                            approx_count=2 * n_edges)
+        comp = attach_by_key(comp, sizes, ["cluster_id"],
+                             num_partitions=cfg.shuffle_partitions)
     else:
-        comp_df = driver_union_find(_collect(edges_ds).to_pandas())
-
-    # broadcast pack: id-hash-sorted membership + per-node cluster id/size
-    ids = comp_df["image_id"].to_numpy(dtype=object)
-    idh = hash_strings(ids, seed=0xC1A5)
-    order = np.argsort(idh, kind="stable")
-    sizes = comp_df["cluster_id"].map(
-        comp_df["cluster_id"].value_counts()).to_numpy()
-    pack_ref = ray.put({
-        "id_hash": np.ascontiguousarray(idh[order]),
-        "cid": pa.array(comp_df["cluster_id"].to_numpy(dtype=object)[order],
-                        pa.string()),
-        "size": np.ascontiguousarray(sizes[order].astype(np.int64)),
-    })
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        pack = cached_get(pack_ref)
-        id_hash = pack["id_hash"]
-        bid = batch["image_id"]
-        probe = hash_strings(bid.to_pylist(), seed=0xC1A5)
-        n = batch.num_rows
-        own = pc.cast(bid.combine_chunks() if
-                      isinstance(bid, pa.ChunkedArray) else bid, pa.string())
-        if id_hash.size:
-            pos = np.clip(np.searchsorted(id_hash, probe),
-                          0, id_hash.size - 1)
-            hit = id_hash[pos] == probe
-            cid = pack["cid"].take(pa.array(pos, pa.int64()))
-            cid = pc.if_else(pa.array(hit), cid, own)
-            size = np.where(hit, pack["size"][pos], 1)
-        else:
-            # no merged components at all: every row is its own singleton
-            # (take() on the empty membership array would raise)
-            cid = own
-            size = np.ones(n, dtype=np.int64)
-        return pa.table({
-            "image_id": batch["image_id"],
-            "cluster_id": cid,
-            "cluster_size": pa.array(size, pa.int64()),
-            "is_representative": pc.equal(
-                pc.cast(batch["image_id"], pa.string()), cid),
-        })
-
-    return all_ids_ds.map_batches(kernel, batch_format="pyarrow")
+        comp_df = driver_union_find(_collect(edges_ds).to_pandas()) \
+            if n_edges else pd.DataFrame({"image_id": [], "cluster_id": []})
+        comp = rd.from_arrow(pa.table({
+            "image_id": pa.array(comp_df["image_id"], pa.string()),
+            "cluster_id": pa.array(comp_df["cluster_id"], pa.string()),
+            "cluster_size": pa.array(
+                comp_df.groupby("cluster_id")["cluster_id"].transform("size"),
+                pa.int64()),
+        }))
+    return assign_clusters(all_ids_ds, comp, cfg)
 
 
 def assign_clusters(all_ids_ds, components_ds, cfg: DedupConfig):
-    """Every valid row gets a cluster_id: its component root, or itself for
-    singletons.  Broadcast when components are small, else partitioned join."""
+    """Every valid row gets its component's (cluster_id, cluster_size), or
+    (itself, 1) for singletons; the representative is the row whose id is
+    its cluster_id (the component minimum).  ``components_ds`` holds
+    (image_id, cluster_id, cluster_size) for the nodes in some edge;
+    broadcast when small, else partitioned join."""
     import pyarrow.compute as pc
 
     from .joins import attach_by_key
 
     def fill(b: pa.Table) -> pa.Table:
         # a block with no component member comes back from the pandas
-        # merge with a null-typed cluster_id, which coalesce rejects
-        cid = pc.cast(b["cluster_id"], pa.string())
-        return b.set_column(b.schema.get_field_index("cluster_id"),
-                            "cluster_id", pc.coalesce(cid, b["image_id"]))
+        # merge with null-typed columns, which coalesce rejects
+        own = pc.cast(b["image_id"], pa.string())
+        cid = pc.coalesce(pc.cast(b["cluster_id"], pa.string()), own)
+        size = pc.coalesce(pc.cast(b["cluster_size"], pa.int64()),
+                           pa.scalar(1, pa.int64()))
+        return pa.table({"image_id": b["image_id"], "cluster_id": cid,
+                         "cluster_size": size,
+                         "is_representative": pc.equal(own, cid)})
 
     out = attach_by_key(all_ids_ds, components_ds, ["image_id"],
                         num_partitions=cfg.shuffle_partitions, how="left")

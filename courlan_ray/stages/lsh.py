@@ -154,9 +154,7 @@ def banding_rows(sig_batch: pa.Table, cfg: DedupConfig) -> pa.Table:
 
 def _canon_edges(batch: pa.Table, left: str, right: str) -> pa.Table:
     """Order each edge (min, max) — vectorized Arrow string compare — drop
-    self-edges, add a 64-bit dedup key plus per-side id hashes (seed
-    0xA11CE, the verify probe seed) so the verify kernel never re-hashes
-    the id strings per batch."""
+    self-edges and add a 64-bit dedup key."""
     l, r = batch[left], batch[right]
     l2 = pc.min_element_wise(l, r)
     r2 = pc.max_element_wise(l, r)
@@ -167,8 +165,6 @@ def _canon_edges(batch: pa.Table, left: str, right: str) -> pa.Table:
     hr = hash_strings(r2.to_pylist(), seed=0xA11CE)
     pk = hash_u64_pair(hl, hr)
     return pa.table({"left_id": l2, "right_id": r2,
-                     "left_h": pa.array(hl.view(np.int64), pa.int64()),
-                     "right_h": pa.array(hr.view(np.int64), pa.int64()),
                      "pair_key": pa.array(pk.view(np.int64), pa.int64())})
 
 
@@ -247,8 +243,6 @@ def _link_all(tbl: pa.Table, cap: int) -> pa.Table:
     1), possible because the keyed shuffle makes noise totals local."""
     empty = pa.table({"left_id": pa.array([], pa.string()),
                       "right_id": pa.array([], pa.string()),
-                      "left_h": pa.array([], pa.int64()),
-                      "right_h": pa.array([], pa.int64()),
                       "pair_key": pa.array([], pa.int64())})
     if tbl.num_rows == 0:
         return empty
@@ -334,7 +328,8 @@ def candidate_pairs(sig_ds, cfg: DedupConfig):
     ``_link_all`` kernel runs per partition, and a second keyed shuffle
     dedups by pair_key (declared cardinality; the lazy-auto trap fix)."""
     import ray.data as rd
-    from .joins import _collect, keyed_repartition, keyed_shuffle_partitions
+    from .joins import (_collect, cluster_cpus, keyed_repartition,
+                        keyed_shuffle_partitions)
 
     st1 = sig_ds.map_batches(lambda b: _local_stars(b, cfg),
                              batch_format="pyarrow",
@@ -352,12 +347,7 @@ def candidate_pairs(sig_ds, cfg: DedupConfig):
         # split into ~2xCPU blocks so downstream verify fans out without
         # needing its own repartition (tiny tables stay one block and
         # verify skips the fan-out entirely)
-        try:
-            import ray
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        chunk = int(max(8192, -(-edges_tbl.num_rows // (2 * cpus))))
+        chunk = int(max(8192, -(-edges_tbl.num_rows // (2 * cluster_cpus()))))
         slices = [edges_tbl.slice(i, chunk)
                   for i in range(0, max(edges_tbl.num_rows, 1), chunk)]
         return rd.from_arrow(slices)

@@ -29,6 +29,8 @@ ACCEPTABLE_CODES = {200, 300, 301, 302, 303, 304, 305, 306, 307, 308}
 def make_urllib3_fetcher(timeout: int = 10, num_pools: int = 100):
     """Real-network fetcher on a shared urllib3 pool (network.py:39-41).
     Built lazily so offline environments only pay on first use."""
+    from urllib.parse import urljoin
+
     import urllib3
 
     urllib3.disable_warnings(urllib3.exceptions.InsecureRequestWarning)
@@ -39,8 +41,14 @@ def make_urllib3_fetcher(timeout: int = 10, num_pools: int = 100):
                                retries=retry, timeout=timeout)
 
     def fetch(url: str):
+        # geturl() is the request path or the raw Location header, not an
+        # absolute URL: replay the redirect history onto the request URL
         rhead = pool.request("HEAD", url)
-        return rhead.status, rhead.geturl()
+        final = url
+        for hop in rhead.retries.history if rhead.retries else ():
+            if hop.redirect_location:
+                final = urljoin(hop.url, hop.redirect_location)
+        return rhead.status, final
 
     return fetch
 

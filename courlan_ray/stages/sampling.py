@@ -8,16 +8,15 @@ per group.  One deliberate deviation (SURVEY.md §4 ordering): the draw is
 ``random.sample``, so re-runs, resumes and both parallelism levels produce
 byte-identical samples.
 
-``cluster_representatives`` is the UrlStore one-per-domain draw
-(``get_url``, urlstore.py:409-430) generalized: one representative per
-cluster = the minimum id (deterministic, order-free).
+The one-per-cluster draw (UrlStore's one-per-domain ``get_url``,
+urlstore.py:409-430, generalized) is the ``is_representative`` column of
+``stages.components.cluster_assignments``: the minimum id of each cluster.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..config import DedupConfig
 from ..functions.hashing import hash_strings
 
 
@@ -72,30 +71,3 @@ def group_sample(ds, key: str, k: int, *, exclude_min: int = 0,
     return picked.map_batches(order_out, batch_format="pyarrow",
                               batch_size=None)
 
-
-def cluster_representatives(clusters_ds, cfg: DedupConfig,
-                            id_col: str = "image_id",
-                            cluster_col: str = "cluster_id"):
-    """(image_id, cluster_id, is_representative, cluster_size) —
-    representative = min id per cluster (the one-per-cluster draw).
-
-    Vectorized at scale: per-cluster min/count via the associative combine
-    tree (stages/agg.py), then a size-adaptive join back — never per-group
-    Python."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from .agg import grouped_agg
-    from .joins import attach_by_key
-
-    stats = grouped_agg(clusters_ds, [cluster_col],
-                        [(id_col, "min", "_rep"),
-                         (id_col, "count", "cluster_size")])
-    joined = attach_by_key(clusters_ds, stats, [cluster_col],
-                           num_partitions=cfg.shuffle_partitions)
-
-    def mark(batch: pa.Table) -> pa.Table:
-        is_rep = pc.equal(batch[id_col], batch["_rep"])
-        return batch.drop_columns(["_rep"]).append_column(
-            "is_representative", is_rep)
-
-    return joined.map_batches(mark, batch_format="pyarrow")

@@ -1,10 +1,10 @@
 """Candidate-pair verification: banded Jaccard + Hamming thresholds.
 
-Joins candidate pairs back to the (narrow) signature table — a numpy
-broadcast pack when the signature side is small, a partitioned hash join
-at scale (SURVEY.md §2.5; the size switch is
-``cfg.verify_broadcast_max``) — then verifies each pair with vectorized
-kernels:
+Attaches the (narrow) signature table to both sides of each candidate
+pair with ``stages.joins.hash_join_pairs`` — a broadcast probe when the
+signature side is small, two partitioned hash joins at scale (SURVEY.md
+§2.5; the size switch is ``cfg.verify_broadcast_max``) — then verifies
+each pair with vectorized kernels:
 
 - caption channel: estimated Jaccard (fraction of agreeing MinHash perms)
   >= ``jaccard_threshold``
@@ -17,15 +17,6 @@ kernels:
 
 A pair survives if ANY channel verifies; the channel verdicts are kept as
 boolean columns for lineage.
-
-The broadcast pack is PURE NUMPY built zero-copy from Arrow buffers (no
-per-row Python): plain-dtype numpy arrays come out of the Ray object store
-zero-copy, so N workers reading the payload cost nothing per worker —
-unlike a pickled pandas/Arrow broadcast, which every worker would
-re-deserialize.  Above the threshold no driver materialization happens at
-all: signatures attach to pairs via two partitioned hash joins
-(``stages.joins.hash_join_pairs``) and the same vectorized verdict kernel
-runs on the attached columns.
 """
 
 from __future__ import annotations
@@ -105,72 +96,18 @@ def _list_buffers(col) -> tuple[np.ndarray, np.ndarray]:
     return flat, off
 
 
-def _pack_signatures(sig_ds, cfg: DedupConfig):
-    """Broadcast pack of the signature table, id-hash-sorted for
-    searchsorted probing.  The hash column and the per-block sorting run in
-    PARALLEL map tasks; the driver only merges pre-sorted blocks (numpy
-    C-speed) and ``ray.put``s the arrays — the former collect+argsort+take
-    of the whole table on the driver was a multi-second serial floor."""
-    import ray
-    from ..functions.hashing import hash_strings
-    from .joins import _collect
-
-    def add_hash(b: pa.Table) -> pa.Table:
-        h = hash_strings(b["image_id"].to_pylist(), seed=0xA11CE)
-        return b.append_column("__idh",
-                               pa.array(h.view(np.int64), pa.int64()))
-
-    from .joins import safe_combine
-    tbl = safe_combine(_collect(sig_ds.select_columns(
-        ["image_id", "minhash", "simhash_pix", "phash",
-         "caption_key", "fingerprints", "decode_ok"])
-        .map_batches(add_hash, batch_format="pyarrow")))
-    n = tbl.num_rows
-    # payload arrays stay in ARRIVAL order; only the 8-byte hash column is
-    # sorted, plus a perm array mapping sorted position -> payload row.
-    # The probe side gathers by row anyway, so reordering 100+ MB of
-    # payload on the driver (argsort + full-table take) buys nothing.
-    raw = tbl["__idh"].to_numpy(zero_copy_only=False).view(_U64) if n else \
-        np.zeros(0, _U64)
-    perm = np.argsort(raw, kind="stable")
-
-    mh = np.ascontiguousarray(
-        np.asarray(tbl["minhash"].chunk(0).flatten()
-                   .to_numpy(zero_copy_only=False)).reshape(n, cfg.num_perm)) \
-        if n else np.zeros((0, cfg.num_perm), np.int64)
-    cap_buf, cap_off = _string_buffers(tbl["caption_key"]) if n else \
-        (np.zeros(0, np.uint8), np.zeros(1, np.int64))
-    fp_flat, fp_off = _list_buffers(tbl["fingerprints"]) if n else \
-        (np.zeros(0, np.int64), np.zeros(1, np.int64))
-    pack = {
-        "id_hash": np.ascontiguousarray(raw[perm]),
-        "perm": perm,
-        "minhash": mh,
-        "phash": np.ascontiguousarray(
-            tbl["phash"].to_numpy(zero_copy_only=False)),
-        "simhash_pix": np.ascontiguousarray(
-            tbl["simhash_pix"].to_numpy(zero_copy_only=False)),
-        "decode_ok": np.ascontiguousarray(
-            tbl["decode_ok"].to_numpy(zero_copy_only=False)),
-        "cap_buf": cap_buf, "cap_off": cap_off,
-        "fp_flat": fp_flat, "fp_off": fp_off,
-    }
-    return {k: ray.put(v) for k, v in pack.items()}
-
-
 def _verdicts(cfg: DedupConfig, *, mh_l, mh_r, ph_l, ph_r, sp_l, sp_r,
               ok_l, ok_r, fp_l, fp_r, cap_l, cap_r):
-    """Shared verdict kernel over per-pair numpy views.
+    """Verdict kernel over per-pair numpy views.
 
     minhash: (n, num_perm); phash/simhash/ok: (n,);
-    fingerprints / captions per side: (flat_buffer, starts, ends) triples —
-    pair i's values live at flat[starts[i]:ends[i]] (need NOT be
-    contiguous across pairs, so both the gathered-corpus broadcast layout
-    and the contiguous join layout fit).  Returns dict of verdict arrays."""
-    fp_flat_l, fp_s_l, fp_e_l = fp_l
-    fp_flat_r, fp_s_r, fp_e_r = fp_r
-    cap_buf_l, cap_s_l, cap_e_l = cap_l
-    cap_buf_r, cap_s_r, cap_e_r = cap_r
+    fingerprints / captions per side: (flat_buffer, offsets[n+1]) pairs —
+    pair i's values live at flat[offsets[i]:offsets[i+1]].  Returns dict of
+    verdict arrays."""
+    fp_flat_l, fp_s_l, fp_e_l = fp_l[0], fp_l[1][:-1], fp_l[1][1:]
+    fp_flat_r, fp_s_r, fp_e_r = fp_r[0], fp_r[1][:-1], fp_r[1][1:]
+    cap_buf_l, cap_s_l, cap_e_l = cap_l[0], cap_l[1][:-1], cap_l[1][1:]
+    cap_buf_r, cap_s_r, cap_e_r = cap_r[0], cap_r[1][:-1], cap_r[1][1:]
     n = len(ph_l)
     jac = (mh_l == mh_r).mean(axis=1) if n else np.zeros(0)
     ph = _ham(ph_l, ph_r)
@@ -201,7 +138,7 @@ def _verdicts(cfg: DedupConfig, *, mh_l, mh_r, ph_l, ph_r, sp_l, sp_r,
         # 160k text pairs; a hash+sort variant 27 s; this runs in ~1 s.)
         # Truncating prints to 44 bits only risks a +-1 on the LCS gate.
         # Local ordinals keep the shift valid for any batch < 2^20 pairs —
-        # enforced by _VERDICT_SLICE (=65536, see _sliced below), which
+        # enforced by _VERDICT_SLICE (=65536, see verify_pairs), which
         # slices every whole-block batch before it reaches this kernel.
         # Raising _VERDICT_SLICE past 2^20 would silently corrupt keys.
         def seg_keys(flat, starts, ends):
@@ -270,85 +207,6 @@ _VERDICT_SLICE = 65536     # pairs per _verdicts call: bounds the (n, num_perm)
                            # kernel's 44-bit local-ordinal packing valid (< 2^20)
 
 
-def _sliced(batch: pa.Table, one):
-    """Apply ``one`` (a verdict kernel over <= _VERDICT_SLICE pairs) to a
-    whole-block batch.  ``map_batches(batch_size=None)`` hands each task its
-    block unsplit — one task per block, so an upstream ``repartition(fanout)``
-    actually fans the kernel out instead of being re-bundled into
-    ceil(rows/batch_size) tasks (measured: 6 tasks over a 64-way fanout at
-    44k pairs).  Oversized blocks are sliced inside the task AND their
-    outputs yielded one slice at a time (generator UDF), so the executor
-    can emit/split output blocks incrementally instead of the task holding
-    the whole output table in memory at once."""
-    n = batch.num_rows
-    if n <= _VERDICT_SLICE:
-        yield one(batch)
-        return
-    for i in range(0, n, _VERDICT_SLICE):
-        yield one(batch.slice(i, _VERDICT_SLICE))
-
-
-def _verify_broadcast(pairs_ds, sig_ds, cfg: DedupConfig):
-    """Small-signature path: numpy broadcast pack + searchsorted gather."""
-    from .joins import cached_get
-    from ..functions.hashing import hash_strings
-
-    refs = _pack_signatures(sig_ds, cfg)
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return _EMPTY_OUT
-        id_hash = cached_get(refs["id_hash"])
-        if "left_h" in batch.schema.names:
-            # pair rows carry their id hashes (stages/lsh._canon_edges) —
-            # no per-batch string materialization
-            probe_l = batch["left_h"].to_numpy(zero_copy_only=False).view(_U64)
-            probe_r = batch["right_h"].to_numpy(zero_copy_only=False).view(_U64)
-        else:
-            probe_l = hash_strings(batch["left_id"].to_pylist(), seed=0xA11CE)
-            probe_r = hash_strings(batch["right_id"].to_pylist(), seed=0xA11CE)
-        pos_l = np.clip(np.searchsorted(id_hash, probe_l), 0, max(len(id_hash) - 1, 0))
-        pos_r = np.clip(np.searchsorted(id_hash, probe_r), 0, max(len(id_hash) - 1, 0))
-        if len(id_hash) == 0:
-            return _EMPTY_OUT
-        hit = (id_hash[pos_l] == probe_l) & (id_hash[pos_r] == probe_r)
-        if not hit.all():
-            batch = batch.filter(pa.array(hit))
-            pos_l, pos_r = pos_l[hit], pos_r[hit]
-            n = batch.num_rows
-            if n == 0:
-                return _EMPTY_OUT
-        # sorted position -> payload row (payload arrays are unsorted)
-        perm = cached_get(refs["perm"])
-        pos_l, pos_r = perm[pos_l], perm[pos_r]
-
-        mh = cached_get(refs["minhash"])
-        phash = cached_get(refs["phash"])
-        simpix = cached_get(refs["simhash_pix"])
-        dec_ok = cached_get(refs["decode_ok"])
-        fp_flat = cached_get(refs["fp_flat"])
-        fp_off = cached_get(refs["fp_off"])
-        cap_buf = cached_get(refs["cap_buf"])
-        cap_off = cached_get(refs["cap_off"])
-
-        v = _verdicts(
-            cfg,
-            mh_l=mh[pos_l], mh_r=mh[pos_r],
-            ph_l=phash[pos_l], ph_r=phash[pos_r],
-            sp_l=simpix[pos_l], sp_r=simpix[pos_r],
-            ok_l=dec_ok[pos_l], ok_r=dec_ok[pos_r],
-            fp_l=(fp_flat, fp_off[pos_l], fp_off[pos_l + 1]),
-            fp_r=(fp_flat, fp_off[pos_r], fp_off[pos_r + 1]),
-            cap_l=(cap_buf, cap_off[pos_l], cap_off[pos_l + 1]),
-            cap_r=(cap_buf, cap_off[pos_r], cap_off[pos_r + 1]),
-        )
-        return _emit(batch, v)
-
-    return pairs_ds.map_batches(lambda b: _sliced(b, kernel),
-                                batch_format="pyarrow", batch_size=None)
-
-
 def _emit(batch: pa.Table, v: dict) -> pa.Table:
     return pa.table({
         "left_id": batch["left_id"],
@@ -365,21 +223,16 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
     """(left_id, right_id) candidates -> verified pairs with verdict columns
     (jaccard, ham_phash, ham_simpix, substr_ratio, verified:bool).
 
-    Size-adaptive: below ``cfg.verify_broadcast_max`` signature rows the
-    signature table is broadcast as numpy blocks; above it signatures
-    attach via two partitioned hash joins (no driver materialization)."""
-    sig_ds = sig_ds.materialize()
-    n_sigs = sig_ds.count()
+    Signatures attach to both pair sides via ``hash_join_pairs``: a
+    broadcast probe up to ``cfg.verify_broadcast_max`` signature rows, two
+    partitioned hash joins above it (no driver materialization)."""
+    from ray.data.dataset import MaterializedDataset
+    from .joins import cluster_cpus, hash_join_pairs, sliced
 
     # re-split the candidate output so the verify stage fans out across the
     # cluster — skipped when the input is already well-partitioned (the
     # keyed-shuffle distinct emits shuffle_partitions blocks)
-    try:
-        import ray
-        fanout = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-    except Exception:
-        fanout = 16
-    from ray.data.dataset import MaterializedDataset
+    fanout = max(8, cluster_cpus() * 2)
     is_mat = isinstance(pairs_ds, MaterializedDataset)
     nb = pairs_ds.num_blocks() if is_mat else 0
     if is_mat and pairs_ds.count() <= 8192:
@@ -388,23 +241,13 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
     elif nb < fanout // 2:
         pairs_ds = pairs_ds.repartition(fanout)
 
-    if n_sigs <= cfg.verify_broadcast_max:
-        return _verify_broadcast(pairs_ds, sig_ds, cfg)
-    return _verify_joined(pairs_ds, sig_ds, cfg)
-
-
-def _verify_joined(pairs_ds, sig_ds, cfg: DedupConfig):
-    """Large-signature path: partitioned pair<->signature hash join, then
-    the same vectorized verdict kernel over the attached columns."""
-    from .joins import hash_join_pairs
-
     cols = ["minhash", "simhash_pix", "phash", "caption_key",
             "fingerprints", "decode_ok"]
     attached = hash_join_pairs(
         pairs_ds, sig_ds.select_columns(["image_id"] + cols),
         id_col="image_id", payload_cols=cols,
         num_partitions=cfg.shuffle_partitions,
-        broadcast_max=0)            # force the partitioned path
+        broadcast_max=cfg.verify_broadcast_max)
 
     def kernel(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -412,31 +255,27 @@ def _verify_joined(pairs_ds, sig_ds, cfg: DedupConfig):
             return _EMPTY_OUT
         num_perm = cfg.num_perm
 
-        def mh(col):
-            return np.asarray(batch[col].combine_chunks().flatten()
+        def mh(name):
+            return np.asarray(batch[name].combine_chunks().flatten()
                               .to_numpy(zero_copy_only=False)).reshape(n, num_perm)
 
-        fl_l, fo_l = _list_buffers(batch["fingerprints_l"])
-        fl_r, fo_r = _list_buffers(batch["fingerprints_r"])
-        cb_l, co_l = _string_buffers(batch["caption_key_l"])
-        cb_r, co_r = _string_buffers(batch["caption_key_r"])
+        def col(name):
+            return batch[name].to_numpy(zero_copy_only=False)
+
         v = _verdicts(
             cfg,
             mh_l=mh("minhash_l"), mh_r=mh("minhash_r"),
-            ph_l=batch["phash_l"].to_numpy(zero_copy_only=False),
-            ph_r=batch["phash_r"].to_numpy(zero_copy_only=False),
-            sp_l=batch["simhash_pix_l"].to_numpy(zero_copy_only=False),
-            sp_r=batch["simhash_pix_r"].to_numpy(zero_copy_only=False),
-            ok_l=batch["decode_ok_l"].to_numpy(zero_copy_only=False),
-            ok_r=batch["decode_ok_r"].to_numpy(zero_copy_only=False),
-            fp_l=(fl_l, fo_l[:-1], fo_l[1:]),
-            fp_r=(fl_r, fo_r[:-1], fo_r[1:]),
-            cap_l=(cb_l, co_l[:-1], co_l[1:]),
-            cap_r=(cb_r, co_r[:-1], co_r[1:]),
+            ph_l=col("phash_l"), ph_r=col("phash_r"),
+            sp_l=col("simhash_pix_l"), sp_r=col("simhash_pix_r"),
+            ok_l=col("decode_ok_l"), ok_r=col("decode_ok_r"),
+            fp_l=_list_buffers(batch["fingerprints_l"]),
+            fp_r=_list_buffers(batch["fingerprints_r"]),
+            cap_l=_string_buffers(batch["caption_key_l"]),
+            cap_r=_string_buffers(batch["caption_key_r"]),
         )
         return _emit(batch, v)
 
-    return attached.map_batches(lambda b: _sliced(b, kernel),
+    return attached.map_batches(lambda b: sliced(b, kernel, _VERDICT_SLICE),
                                 batch_format="pyarrow", batch_size=None)
 
 

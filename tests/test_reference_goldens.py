@@ -310,6 +310,60 @@ def test_redirect_resolver_stage():
     assert out["redirect_ok"].to_pylist() == [True, False, True]
 
 
+@pytest.fixture
+def redirect_server():
+    """Stdlib HTTP server on 127.0.0.1 with a relative redirect chain
+    (/start -302-> hop -301-> final?x=1) and a 404 route."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    routes = {"/start": (302, "hop"), "/hop": (301, "final?x=1"),
+              "/final?x=1": (200, None)}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_HEAD(self):
+            status, location = routes.get(self.path, (404, None))
+            self.send_response(status)
+            if location:
+                self.send_header("Location", location)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        do_GET = do_HEAD
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_redirection_test_live_http(redirect_server):
+    """The urllib3 fetcher against a live server: relative Location headers
+    resolve to the absolute final URL, a 404 raises, and the Dataset stage
+    reports the same final URL."""
+    import ray.data as rd
+    from courlan_ray.stages.redirects import redirection_test, resolve_redirects
+
+    final = f"{redirect_server}/final?x=1"
+    assert redirection_test(f"{redirect_server}/start") == final
+    with pytest.raises(ValueError):
+        redirection_test(f"{redirect_server}/missing")
+
+    urls = [f"{redirect_server}/start", f"{redirect_server}/missing"]
+    out = resolve_redirects(rd.from_items([{"url": u} for u in urls]),
+                            concurrency=1).to_pandas()
+    assert dict(zip(out["url"], out["url_final"])) == {urls[0]: final,
+                                                       urls[1]: ""}
+    assert dict(zip(out["url"], out["redirect_ok"])) == {urls[0]: True,
+                                                         urls[1]: False}
+
+
 def test_fast_tldinfo_matches_reference_regex_shortcut():
     """fast=True mirrors the reference's regex shortcut EXACTLY — including
     its deliberate lumping of vanity suffixes (alice.github.io ->

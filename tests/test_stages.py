@@ -137,11 +137,73 @@ def test_assign_clusters_block_without_components():
     ids = rd.from_arrow([pa.table({"image_id": ["a", "b"]}),
                          pa.table({"image_id": ["x", "y"]})])
     comp = rd.from_arrow(pa.table({"image_id": ["a", "b"],
-                                   "cluster_id": ["a", "a"]}))
+                                   "cluster_id": ["a", "a"],
+                                   "cluster_size": pa.array([2, 2],
+                                                            pa.int64())}))
     got = assign_clusters(ids, comp, DedupConfig()).to_pandas() \
         .sort_values("image_id")
     assert got["image_id"].tolist() == ["a", "b", "x", "y"]
     assert got["cluster_id"].tolist() == ["a", "a", "x", "y"]
+    assert got["cluster_size"].tolist() == [2, 2, 1, 1]
+    assert got["is_representative"].tolist() == [True, False, True, True]
+
+
+def test_component_paths_assign_alike():
+    """Driver union-find and distributed label propagation end in the same
+    assignment: a chain, a star, ids in no edge, and an ids block with no
+    component member."""
+    rd = _rd()
+    from courlan_ray.stages.components import cluster_assignments
+    edges = rd.from_arrow(pa.table({
+        "left_id": ["c0", "c1", "c2", "c3", "s0", "s0", "s0"],
+        "right_id": ["c1", "c2", "c3", "c4", "s1", "s2", "s3"]}))
+    ids = rd.from_arrow([
+        pa.table({"image_id": ["c0", "c1", "c2", "c3", "c4", "lone1"]}),
+        pa.table({"image_id": ["s3", "s2", "s1", "s0"]}),
+        pa.table({"image_id": ["lone2", "lone3"]})])
+    cols = ["image_id", "cluster_id", "cluster_size", "is_representative"]
+
+    def run(cfg):
+        out = cluster_assignments(edges, ids, cfg).to_pandas()
+        assert list(out.columns) == cols
+        return out.sort_values("image_id").reset_index(drop=True)
+
+    driver = run(DedupConfig())
+    dist = run(DedupConfig(driver_cc_max_pairs=0))
+    pd.testing.assert_frame_equal(driver, dist)
+    got = driver.set_index("image_id")
+    assert (got.loc[[f"c{i}" for i in range(5)], "cluster_id"] == "c0").all()
+    assert (got.loc[[f"s{i}" for i in range(4)], "cluster_size"] == 4).all()
+    assert got.loc["lone2"].tolist() == ["lone2", 1, True]
+    assert got["is_representative"].sum() == 5
+
+
+def test_verify_agrees_across_size_switch():
+    """verify_pairs gives the same scored table on the broadcast probe and
+    on the partitioned joins (``verify_broadcast_max=0``), with list
+    payloads (minhash, fingerprints) on both."""
+    rd = _rd()
+    from courlan_ray.sources.synth import generate_rows
+    from courlan_ray.stages.lsh import candidate_pairs
+    from courlan_ray.stages.signatures import compute_signatures
+    from courlan_ray.stages.verify import verify_pairs
+    cfg = DedupConfig()
+    sigs = compute_signatures(rd.from_arrow(generate_rows(np.arange(400), 5)),
+                              cfg, with_gates=True) \
+        .filter(expr="valid == True").materialize()
+    cands = candidate_pairs(sigs, cfg).materialize()
+    cols = ["left_id", "right_id", "jaccard", "ham_phash", "ham_simpix",
+            "substr_ratio", "verified"]
+
+    def run(c):
+        out = verify_pairs(cands, sigs, c).to_pandas()
+        assert list(out.columns) == cols
+        return out.sort_values(["left_id", "right_id"]).reset_index(drop=True)
+
+    small = run(cfg)
+    large = run(DedupConfig(verify_broadcast_max=0))
+    pd.testing.assert_frame_equal(small, large)
+    assert small["verified"].any()
 
 
 def test_agg_mode_resolution_and_shuffle_path():
