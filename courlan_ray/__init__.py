@@ -29,7 +29,7 @@ def _enable_hash_shuffle() -> None:
         # own partition counts.
         # 0.025 CPU x partition: a shuffle pool reserves 0.025 x P total
         # (spread over <=16 aggregator actors).  The flagship DAG runs 2-3
-        # keyed shuffles CONCURRENTLY (LSH bucket link, pair-key distinct,
+        # keyed shuffles CONCURRENTLY (LSH bucket link, pair distinct,
         # components grouped_agg), so pools STACK — with the old 0.05 and
         # P = 8 x CPUs two pools reserved 3.2 of 4 CPUs and the upstream
         # 1-CPU map tasks never scheduled (observed live: 84% idle host,

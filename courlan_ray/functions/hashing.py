@@ -236,10 +236,34 @@ def simhash64(shingle_hashes: np.ndarray, counts: np.ndarray) -> np.ndarray:
 _POPCNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
+def _bits64(x) -> np.ndarray:
+    """int64 or uint64 array -> the same 64 bits as uint64."""
+    return np.asarray(x).astype(np.int64, copy=False).view(_U64)
+
+
 def hamming_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise Hamming distance between two uint64 arrays."""
-    x = (np.asarray(a, dtype=_U64) ^ np.asarray(b, dtype=_U64))
+    """Elementwise Hamming distance between two arrays of 64-bit words
+    (int64 or uint64; the bits are compared), by a byte lookup table."""
+    x = _bits64(a) ^ _bits64(b)
     return _POPCNT[x.view(np.uint8).reshape(-1, 8)].sum(axis=1).astype(np.int32)
+
+
+def hamming_band_keys(x: np.ndarray, n_bands: int) -> np.ndarray:
+    """(n,) 64-bit hashes -> (n, n_bands) uint64 Hamming-ball band keys.
+
+    Band b holds bits [b*w, (b+1)*w) with w = 64 // n_bands, mixed with a
+    per-band constant so equal bits in different bands never share a key.
+    Two hashes within Hamming distance ``n_bands - 1`` agree on at least
+    one whole band (pigeonhole), so bucketing on these keys finds every
+    such pair."""
+    s = _bits64(x)
+    width = 64 // n_bands
+    mask = _U64((1 << width) - 1)
+    out = np.empty((s.size, n_bands), dtype=_U64)
+    for b in range(n_bands):
+        salt = splitmix64(np.array([b + 101], dtype=_U64))[0]
+        out[:, b] = splitmix64(((s >> _U64(b * width)) & mask) ^ salt)
+    return out
 
 
 def band_keys(signatures: np.ndarray, bands: int, seed: int = 0) -> np.ndarray:

@@ -211,33 +211,3 @@ def grouped_distinct(ds, keys: list[str], **kw):
     probe = keys[0]
     out = grouped_agg(ds, keys, [(probe, "count", "_n")], **kw)
     return out.drop_columns(["_n"])
-
-
-def distinct_by_key(ds, key: str, *, approx_count: int | None = None,
-                    fanout: int = 16, tree_max_groups: int = TREE_MAX_GROUPS):
-    """Row-level distinct on a precomputed 64-bit key column: keeps the
-    FIRST row per key value (all payload columns ride along untouched).
-
-    Much cheaper than ``grouped_agg`` with min-aggregated payload columns
-    — ``np.unique`` over the int64 key per block, no string aggregation.
-    Same declared-cardinality contract: tree below ``tree_max_groups``
-    (per ``approx_count``), keyed hash-shuffle above."""
-
-    def uniq(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
-        pk = b[key].to_numpy(zero_copy_only=False)
-        _, idx = np.unique(pk, return_index=True)
-        if idx.size == b.num_rows:
-            return b
-        return b.take(pa.array(np.sort(idx), pa.int64()))
-
-    big = approx_count is not None and approx_count > tree_max_groups
-    if big:
-        from .joins import keyed_repartition, keyed_shuffle_partitions
-        pre = ds.map_batches(uniq, batch_format="pyarrow", batch_size=None)
-        return keyed_repartition(pre, keyed_shuffle_partitions(64),
-                                 [key]).map_batches(
-            uniq, batch_format="pyarrow", batch_size=None)
-
-    return combine_tree(ds, uniq, fanout=fanout)

@@ -8,18 +8,21 @@
   so per-query work drops from O(N) to O(N / 2^bits * probes).
 - ``embedding_neardup_pairs``: embedding-cosine near-duplicate pairs via
   multi-table hyperplane buckets (within-bucket pairs, star fallback for
-  oversized buckets) + exact cosine verification.
+  oversized buckets) through the shared candidate-pair engine
+  ``lsh.bucket_pairs`` + exact cosine verification.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..config import DedupConfig
 from ..functions.hashing import splitmix64, _ranges_within
 from .joins import cached_get
+from .lsh import all_pairs, bucket_pairs
 
 _U64 = np.uint64
 
@@ -258,7 +261,8 @@ def embedding_neardup_pairs(ds, cfg: DedupConfig, *, threshold: float = 0.95,
                             vec_col: str = "embedding"):
     """Embedding-cosine near-dup candidate pairs: MULTI-TABLE hyperplane
     LSH (``n_tables`` independent ``bits``-bit tables — candidate iff the
-    pair collides in ANY table) -> star edges (min id per bucket) ->
+    pair collides in ANY table) -> within-bucket pairs through
+    ``lsh.bucket_pairs`` (star edges from the min id above 64 members) ->
     exact cosine verification.  Returns Dataset (left_id, right_id,
     cos_sim) with cos_sim >= threshold.
 
@@ -300,62 +304,24 @@ def embedding_neardup_pairs(ds, cfg: DedupConfig, *, threshold: float = 0.95,
     # member-member near-dups — measured 0.93 vs >= 0.98 recall on planted
     # truth); oversized buckets (degenerate/hot — e.g. all-identical
     # vectors) fall back to star edges, which keep cluster connectivity
-    # at O(bucket) instead of O(bucket^2)
+    # at O(bucket) instead of O(bucket^2).  A pair colliding in several
+    # tables is emitted once per table; bucket_pairs dedups it exactly.
     pair_cap = 64
 
-    def bucket_pairs(b: pa.Table) -> pa.Table:
-        from .joins import safe_combine
-        from ..functions.hashing import hash_strings, hash_u64_pair
-        empty = pa.table({"left_id": pa.array([], pa.string()),
-                          "right_id": pa.array([], pa.string()),
-                          "pair_key": pa.array([], pa.int64())})
-        if b.num_rows == 0:
-            return empty
-        b = safe_combine(b)
-        bucket = b["bucket"].to_numpy(zero_copy_only=False)
-        vid = b["vid"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((vid, bucket))
-        bk, vd = bucket[order], vid[order]
-        first = np.r_[True, bk[1:] != bk[:-1]]
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, bk.size))
-        ls, rs = [], []
-        for s, m in zip(starts, lens):
-            if m < 2:
-                continue
-            if m <= pair_cap:
-                i, j = np.triu_indices(int(m), 1)
-                ls.append(vd[s + i])
-                rs.append(vd[s + j])
-            else:                      # star: min vid (sorted -> first)
-                ls.append(np.repeat(vd[s], m - 1))
-                rs.append(vd[s + 1:s + m])
-        if not ls:
-            return empty
-        left = np.concatenate(ls)
-        right = np.concatenate(rs)
-        pk = hash_u64_pair(hash_strings(left, seed=0xE27),
-                           hash_strings(right, seed=0xE27)).view(np.int64)
-        return pa.table({"left_id": pa.array(left),
-                         "right_id": pa.array(right),
-                         "pair_key": pa.array(pk, pa.int64())})
+    def emit(b: pa.Table) -> pa.Table:
+        _, inv, counts = np.unique(b["bucket"].to_numpy(zero_copy_only=False),
+                                   return_inverse=True, return_counts=True)
+        hot = pa.array(counts[inv] > pair_cap)
+        star = b.filter(hot)
+        star = star.join(star.group_by("bucket").aggregate([("vid", "min")]),
+                         "bucket")             # hub = min vid per bucket
+        return pa.concat_tables([
+            all_pairs(b.filter(pc.invert(hot)), "bucket", "vid"),
+            pa.table({"left_id": star["vid_min"], "right_id": star["vid"]})])
 
-    # one keyed shuffle co-locates buckets; a pair colliding in several
-    # tables appears once per table — dedupe on a 64-bit pair key before
-    # the (much more expensive) verification
-    from .agg import distinct_by_key
-    from .joins import keyed_repartition, keyed_shuffle_partitions
-    located = keyed_repartition(banded,
-                                keyed_shuffle_partitions(
-                                    cfg.shuffle_partitions), ["bucket"])
-    # candidate cardinality is quadratic in bucket sizes: declare the n²
-    # upper bound so the distinct routes through the keyed shuffle at
-    # scale instead of the lazy-auto tree default (the round-1 agg trap)
-    n_vecs = banded.count() // max(n_tables, 1)
-    pairs = distinct_by_key(
-        located.map_batches(bucket_pairs, batch_format="pyarrow",
-                            batch_size=None),
-        "pair_key", approx_count=n_vecs * n_vecs).drop_columns(["pair_key"])
+    pairs = bucket_pairs(banded, emit, key="bucket",
+                         driver=banded.count() <= cfg.lsh_driver_link_max,
+                         shuffle_partitions=cfg.shuffle_partitions)
 
     # verify with exact cosine: attach each side's vector via the
     # size-adaptive pair<->payload join (broadcast when small, two

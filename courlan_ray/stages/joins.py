@@ -85,7 +85,7 @@ def keyed_shuffle_partitions(requested: int) -> int:
     creation, so the only reliable control at repartition time is P
     itself.  One shuffle pool reserves ``0.025 x P`` CPUs (package-level
     aggregator sizing, ``courlan_ray.__init__``) and the flagship DAG
-    runs 2-3 keyed shuffles CONCURRENTLY (LSH bucket link, pair-key
+    runs 2-3 keyed shuffles CONCURRENTLY (LSH bucket link, pair
     distinct, components grouped_agg) whose pools stack; at P = CPUs
     three pools reserve 0.075 x cluster — upstream 1-CPU map tasks
     always schedule.  (The looser 8 x CPUs clamp at 0.05/partition let

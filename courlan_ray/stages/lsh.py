@@ -35,10 +35,15 @@ in one bucket still links through any of the other ~bands shared buckets).
 
 Weak-channel noise: per-bucket totals fall out of level 2 for free; weak
 channels (phash bands, fingerprints) with totals above
-``cfg.weak_bucket_cap`` are collision noise (e.g. a common phrase) and all
-their edges are dropped by a broadcast filter.  Strong MinHash bands are
-never capped.  Edge dedup across channels/bands is a grouped aggregation
-with explicitly-declared cardinality (stages/agg.py).
+``cfg.weak_bucket_cap`` are collision noise (e.g. a common phrase) and
+contribute no edges.  Strong MinHash bands are never capped.
+
+``bucket_pairs`` is the candidate-pair engine behind level 2, shared with
+every other pair stage (``simhash_pairs``, ``ngram_jaccard``,
+``substring``, ``ann``): postings -> per-bucket ``emit`` on the driver or
+behind one keyed shuffle -> an exact distinct on (left_id, right_id) with
+a per-pair count.  Each stage supplies only its postings and its
+``emit``; ``all_pairs`` is the shared all-pairs emit.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DedupConfig
-from ..functions.hashing import (band_keys, hash_u64_pair, hash_strings,
-                                 splitmix64, _ranges_within)
+from ..functions.hashing import (band_keys, hamming_band_keys, hash_u64_pair,
+                                 hash_strings, splitmix64, _ranges_within)
 
 _U64 = np.uint64
 
@@ -90,16 +95,9 @@ def banding_rows(sig_batch: pa.Table, cfg: DedupConfig) -> pa.Table:
         ok_idx = np.flatnonzero(dec_ok)
         m = ok_idx.size
         if m:
-            ph = sig_batch["phash"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64).view(_U64)[ok_idx]
+            ph = sig_batch["phash"].to_numpy(zero_copy_only=False)[ok_idx]
             nb = cfg.phash_bands
-            width = 64 // nb
-            mask = _U64((1 << width) - 1)
-            pieces = np.empty((m, nb), dtype=_U64)
-            for b in range(nb):
-                piece = (ph >> _U64(b * width)) & mask
-                pieces[:, b] = splitmix64(piece ^ splitmix64(np.full(m, _U64(b + 101))))
-            ch2 = splitmix64(pieces ^ _U64(CH_PHASH))
+            ch2 = splitmix64(hamming_band_keys(ph, nb) ^ _U64(CH_PHASH))
             buckets.append(ch2.ravel())
             row_idx.append(np.repeat(ok_idx, nb))
             chan_tags.append(np.full(m * nb, CH_PHASH))
@@ -150,22 +148,6 @@ def banding_rows(sig_batch: pa.Table, cfg: DedupConfig) -> pa.Table:
         "ch": pa.array(chans, pa.int8()),
         "image_id": ids.take(pa.array(all_rows)),
     })
-
-
-def _canon_edges(batch: pa.Table, left: str, right: str) -> pa.Table:
-    """Order each edge (min, max) — vectorized Arrow string compare — drop
-    self-edges and add a 64-bit dedup key."""
-    l, r = batch[left], batch[right]
-    l2 = pc.min_element_wise(l, r)
-    r2 = pc.max_element_wise(l, r)
-    keep = pc.not_equal(l2, r2)
-    l2 = l2.filter(keep).combine_chunks()
-    r2 = r2.filter(keep).combine_chunks()
-    hl = hash_strings(l2.to_pylist(), seed=0xA11CE)
-    hr = hash_strings(r2.to_pylist(), seed=0xA11CE)
-    pk = hash_u64_pair(hl, hr)
-    return pa.table({"left_id": l2, "right_id": r2,
-                     "pair_key": pa.array(pk.view(np.int64), pa.int64())})
 
 
 def _group_pos(key_all: np.ndarray, key_agg: np.ndarray) -> np.ndarray:
@@ -236,16 +218,9 @@ def _link_all(tbl: pa.Table, cap: int) -> pa.Table:
         (strong MinHash bands are never capped)
       - member star edges (level-1 member -> local rep)
       - cross-salt/block rep links (per-bucket hub = min idh -> each rep)
-      - canonical (min,max) ordering + 64-bit pair_key
 
-    One kernel replaces the former edge/rep split + marker rows + global
-    noisy-bucket broadcast + separate finalize pass (4 stage launches ->
-    1), possible because the keyed shuffle makes noise totals local."""
-    empty = pa.table({"left_id": pa.array([], pa.string()),
-                      "right_id": pa.array([], pa.string()),
-                      "pair_key": pa.array([], pa.int64())})
-    if tbl.num_rows == 0:
-        return empty
+    This is LSH's ``emit`` for ``bucket_pairs``; one fused pass suffices
+    because whole buckets make the noise totals local."""
     from .joins import safe_combine
     tbl = safe_combine(tbl)
     bucket = tbl["bucket"].to_numpy(zero_copy_only=False)
@@ -261,7 +236,7 @@ def _link_all(tbl: pa.Table, cap: int) -> pa.Table:
     rbs = rb[order]
     m = rbs.size
     noisy = np.empty(0, dtype=np.int64)
-    link_left = link_right = None
+    link_left = link_right = np.empty(0, dtype=np.int64)
     if m:
         first = np.empty(m, dtype=bool)
         first[0] = True
@@ -284,26 +259,12 @@ def _link_all(tbl: pa.Table, cap: int) -> pa.Table:
     keep_m = ~_in_sorted(noisy, bucket[mem_idx])
     mem_idx = mem_idx[keep_m]
 
-    ids = tbl["image_id"]
-    partner = tbl["partner"]
-    lefts, rights = [], []
-    if mem_idx.size:
-        lefts.append(partner.take(pa.array(mem_idx, pa.int64())))
-        rights.append(ids.take(pa.array(mem_idx, pa.int64())))
-    if link_left is not None and link_left.size:
-        lefts.append(ids.take(pa.array(link_left, pa.int64())))
-        rights.append(ids.take(pa.array(link_right, pa.int64())))
-    if not lefts:
-        return empty
-    edges = pa.table({
-        "left_id": pa.concat_arrays([a.combine_chunks() if
-                                     isinstance(a, pa.ChunkedArray) else a
-                                     for a in lefts]),
-        "right_id": pa.concat_arrays([a.combine_chunks() if
-                                      isinstance(a, pa.ChunkedArray) else a
-                                      for a in rights]),
-    })
-    return _canon_edges(edges, "left_id", "right_id")
+    # a rep row's partner is its own id, so one positional gather per side
+    # covers both edge kinds
+    li = pa.array(np.concatenate([mem_idx, link_left]), pa.int64())
+    ri = pa.array(np.concatenate([mem_idx, link_right]), pa.int64())
+    return pa.table({"left_id": tbl["partner"].take(li),
+                     "right_id": tbl["image_id"].take(ri)})
 
 
 def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -315,57 +276,123 @@ def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sorted_arr[pos] == values
 
 
-def candidate_pairs(sig_ds, cfg: DedupConfig):
-    """Signatures -> distinct candidate (left_id, right_id) star edges.
+def _pairs_from_postings(gram: np.ndarray, doc: np.ndarray,
+                         size: np.ndarray, threshold: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """All (left<right) doc pairs sharing a posting gram, length-filtered
+    (``min(size) >= threshold * max(size)``; threshold 0 keeps every
+    pair).  Input need not be sorted; pairs are NOT deduped across grams
+    here."""
+    order = np.lexsort((doc, gram))
+    gram, doc, size = gram[order], doc[order], size[order]
+    m = gram.size
+    if m == 0:
+        return (np.zeros(0, dtype=doc.dtype),) * 2
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(gram[1:], gram[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    lens = np.diff(np.append(starts, m))
+    ls, rs = [], []
+    for s, k in zip(starts[lens > 1], lens[lens > 1]):
+        i, j = np.triu_indices(int(k), 1)
+        a, b = doc[s + i], doc[s + j]          # a < b (sorted within group)
+        na, nb = size[s + i], size[s + j]
+        keep = np.minimum(na, nb) + 1e-9 >= threshold * np.maximum(na, nb)
+        ls.append(a[keep])
+        rs.append(b[keep])
+    if not ls:
+        return (np.zeros(0, dtype=doc.dtype),) * 2
+    return np.concatenate(ls), np.concatenate(rs)
 
-    See module docstring for the two-level construction.  ``sig_ds`` should
-    be the (narrow) signature table; callers filter invalid / exact-dup rows
-    first.
 
-    Small path (st1 rows <= ``cfg.lsh_driver_link_max``): one driver-local
-    vectorized ``_link_all`` + numpy pair distinct — no extra stages.
-    Scale path: ONE keyed hash-shuffle co-locates every bucket, the same
-    ``_link_all`` kernel runs per partition, and a second keyed shuffle
-    dedups by pair_key (declared cardinality; the lazy-auto trap fix)."""
+def all_pairs(tbl: pa.Table, key: str, id_col: str,
+              size_col: str | None = None, threshold: float = 0.0
+              ) -> pa.Table:
+    """The all-pairs ``emit`` for ``bucket_pairs``: every pair of
+    ``id_col`` values sharing a ``key`` value, one row per shared key,
+    optionally length-filtered on ``size_col`` (see
+    ``_pairs_from_postings``)."""
+    ids = tbl[id_col]
+    doc = ids.to_numpy(zero_copy_only=False)
+    size = (tbl[size_col].to_numpy(zero_copy_only=False) if size_col
+            else np.ones(doc.size, dtype=np.int64))
+    li, ri = _pairs_from_postings(tbl[key].to_numpy(zero_copy_only=False),
+                                  doc, size, threshold)
+    return pa.table({"left_id": pa.array(li, ids.type),
+                     "right_id": pa.array(ri, ids.type)})
+
+
+def bucket_pairs(postings, emit, *, key: str, driver: bool,
+                 shuffle_partitions: int):
+    """The candidate-pair engine every pair stage shares: (``key``, id)
+    postings -> distinct (left_id, right_id, n), left_id < right_id by
+    value, n = how many emitted rows named the pair.
+
+    ``emit(tbl)`` receives every posting row of some set of buckets, each
+    bucket whole, and returns (left_id, right_id) rows in either order;
+    self-pairs are dropped.  ``driver`` picks the side:
+
+    - driver: collect the postings, ``emit`` once, count pairs with one
+      pyarrow ``group_by``, and split the result into ~2xCPU blocks
+      (at least 8192 rows each) so the verify step fans out without its
+      own repartition — tiny tables stay one block and verify skips the
+      fan-out entirely;
+    - scale: ONE keyed hash-shuffle ``repartition(P, keys=[key])``
+      co-locates every bucket, ``emit`` runs per partition, and
+      ``grouped_agg`` counts pairs, routed by the materialized pair-row
+      count (an upper bound on distinct pairs).
+
+    The distinct is exact on the id values (no pair hash, so no collision
+    can drop a pair), and the output is materialized so its block count is
+    known downstream."""
     import ray.data as rd
+    from .agg import grouped_agg
     from .joins import (_collect, cluster_cpus, keyed_repartition,
                         keyed_shuffle_partitions)
 
+    def canonical(tbl: pa.Table) -> pa.Table:
+        pairs = emit(tbl)
+        lo = pc.min_element_wise(pairs["left_id"], pairs["right_id"])
+        hi = pc.max_element_wise(pairs["left_id"], pairs["right_id"])
+        keep = pc.not_equal(lo, hi)
+        return pa.table({"left_id": lo.filter(keep),
+                         "right_id": hi.filter(keep)})
+
+    if driver:
+        counted = canonical(_collect(postings)).group_by(
+            ["left_id", "right_id"]).aggregate([([], "count_all")])
+        out = pa.table({"left_id": counted["left_id"],
+                        "right_id": counted["right_id"],
+                        "n": counted["count_all"]})
+        chunk = int(max(8192, -(-out.num_rows // (2 * cluster_cpus()))))
+        return rd.from_arrow([out.slice(i, chunk)
+                              for i in range(0, max(out.num_rows, 1), chunk)])
+
+    # P = CPUs: joins.keyed_shuffle_partitions has the measurement and the
+    # concurrent-pool deadlock guard
+    parts = keyed_shuffle_partitions(shuffle_partitions)
+    emitted = (keyed_repartition(postings, parts, [key])
+               .map_batches(canonical, batch_format="pyarrow",
+                            batch_size=None)
+               .materialize())
+    return grouped_agg(emitted, ["left_id", "right_id"],
+                       [("left_id", "count", "n")]).materialize()
+
+
+def candidate_pairs(sig_ds, cfg: DedupConfig):
+    """Signatures -> distinct candidate (left_id, right_id, n) star edges;
+    n counts the bucket links that named the pair.
+
+    See module docstring for the two-level construction.  ``sig_ds`` should
+    be the (narrow) signature table; callers filter invalid / exact-dup rows
+    first.  Level 2 runs in ``bucket_pairs`` with ``_link_all`` as its
+    emit: on the driver up to ``cfg.lsh_driver_link_max`` level-1 rows,
+    through the keyed shuffle above."""
     st1 = sig_ds.map_batches(lambda b: _local_stars(b, cfg),
                              batch_format="pyarrow",
                              batch_size=cfg.batch_size).materialize()
-    n_rows = st1.count()        # metadata-only on the materialized table
     cap = cfg.weak_bucket_cap
-
-    if n_rows <= cfg.lsh_driver_link_max:
-        edges_tbl = _link_all(_collect(st1), cap)
-        pk = edges_tbl["pair_key"].to_numpy(zero_copy_only=False)
-        _, uniq_idx = np.unique(pk, return_index=True)
-        if uniq_idx.size < edges_tbl.num_rows:
-            edges_tbl = edges_tbl.take(pa.array(np.sort(uniq_idx), pa.int64()))
-        edges_tbl = edges_tbl.drop_columns(["pair_key"])
-        # split into ~2xCPU blocks so downstream verify fans out without
-        # needing its own repartition (tiny tables stay one block and
-        # verify skips the fan-out entirely)
-        chunk = int(max(8192, -(-edges_tbl.num_rows // (2 * cluster_cpus()))))
-        slices = [edges_tbl.slice(i, chunk)
-                  for i in range(0, max(edges_tbl.num_rows, 1), chunk)]
-        return rd.from_arrow(slices)
-
-    # P = CPUs: with <=16 aggregator actors, more partitions only add
-    # push/finalize overhead (measured 7.1 s at P=16 vs 13.0 s at P=64
-    # for this shuffle at 16 CPUs) — see joins.keyed_shuffle_partitions,
-    # which is also the concurrent-pool deadlock guard.
-    parts = keyed_shuffle_partitions(cfg.shuffle_partitions)
-    canonical = (keyed_repartition(st1, parts, ["bucket"])
-                 .map_batches(lambda b: _link_all(b, cap),
-                              batch_format="pyarrow", batch_size=None))
-    from .agg import distinct_by_key
-    distinct = distinct_by_key(canonical, "pair_key",
-                               approx_count=n_rows,
-                               tree_max_groups=2_000_000)
-    # materialize: the keyed-shuffle output already has P well-sized
-    # blocks — pinning exposes the block count so verify_pairs skips its
-    # own fan-out repartition (a lazy input reads as 0 blocks there and
-    # always paid an extra AllToAll)
-    return distinct.drop_columns(["pair_key"]).materialize()
+    return bucket_pairs(st1, lambda t: _link_all(t, cap), key="bucket",
+                        driver=st1.count() <= cfg.lsh_driver_link_max,
+                        shuffle_partitions=cfg.shuffle_partitions)

@@ -295,8 +295,8 @@ def video_dedup_pairs(ds, cfg: DedupConfig, *, n_frames: int = 4,
         # vectorized slot verify: flatten both FixedSize/variable list
         # columns for the eligible (non-empty, equal-length) rows — the
         # flattened value arrays then align slot-for-slot — segmented XOR
-        # popcount via the shared simhash kernel, per-row max by reduceat.
-        from .simhash_pairs import _ham64
+        # popcount via the shared Hamming kernel, per-row max by reduceat.
+        from ..functions.hashing import hamming_u64
         empty = pa.table({"left_id": pa.array([], pa.string()),
                           "right_id": pa.array([], pa.string()),
                           "max_slot_ham": pa.array([], pa.int64())})
@@ -314,7 +314,7 @@ def video_dedup_pairs(ds, cfg: DedupConfig, *, n_frames: int = 4,
             .to_numpy(zero_copy_only=False)
         vr = pc.list_flatten(sub["frame_phashes_r"]) \
             .to_numpy(zero_copy_only=False)
-        pop = _ham64(np.ascontiguousarray(vl), np.ascontiguousarray(vr))
+        pop = hamming_u64(vl, vr)
         lens = len_l[elig].astype(np.int64)
         starts = np.zeros(lens.size, dtype=np.int64)
         np.cumsum(lens[:-1], out=starts[1:])

@@ -20,14 +20,13 @@ Scale shape (the 100 TB path):
   - signatures: one ``map_batches`` pass, fully vectorized (token hashing +
     n-gram chain hashes + per-segment sort/unique — no Python per row).
   - postings: narrow (gram:int64, doc, set size) rows, ~p per doc.
-  - candidates: ONE keyed hash-shuffle ``repartition(P, keys=["gram"])``
-    co-locates each posting list; pairs are emitted per partition and
-    deduped by 64-bit pair key with declared cardinality (stages/agg.py).
+  - candidates: ``lsh.bucket_pairs`` with the length-filtered all-pairs
+    emit — one driver pass up to ``driver_max`` docs, ONE keyed
+    hash-shuffle on gram above — and an exact (left_id, right_id)
+    distinct.
   - verify: pair table joined back to gram arrays via the size-adaptive
-    ``hash_join_pairs`` (broadcast below 2M docs, partitioned joins above).
-  Below ``driver_max`` docs the whole thing short-circuits to one
-  vectorized driver pass over the collected signature table — same kernels,
-  no shuffle overhead at test scale.
+    ``hash_join_pairs`` (broadcast below 2M docs, partitioned joins above),
+    exact Jaccard per batch, one global sort.
 
 Hash-identity caveat: gram sets are represented by 64-bit chain hashes of
 token hashes; two distinct grams colliding would merge set elements.  At
@@ -88,48 +87,10 @@ def _gram_sets(texts: list[str], n: int, seed: int
     return g[first], np.bincount(seg[first], minlength=n_docs).astype(np.int64)
 
 
-def _pair_keys(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
-    """64-bit dedup key for id-VALUE pairs: numeric ids mix directly,
-    string/object ids hash first (the scale-path kernels receive raw id
-    values, unlike the driver paths' positional indices)."""
-    if li.dtype.kind in "iu":
-        return hash_u64_pair(li.astype(_U64), ri.astype(_U64))
-    return hash_u64_pair(hash_strings(li, seed=0xBEEF),
-                         hash_strings(ri, seed=0xBEEF))
-
-
 def _prefix_len(sizes: np.ndarray, threshold: float) -> np.ndarray:
     """PPJoin prefix length p = n - ceil(t*n) + 1 (0 for empty sets)."""
     p = sizes - np.ceil(threshold * sizes).astype(np.int64) + 1
     return np.where(sizes > 0, np.clip(p, 1, sizes), 0)
-
-
-def _pairs_from_postings(gram: np.ndarray, doc: np.ndarray,
-                         size: np.ndarray, threshold: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """All (left<right) doc pairs sharing a posting gram, length-filtered.
-    Input need not be sorted; pairs are NOT deduped across grams here."""
-    order = np.lexsort((doc, gram))
-    gram, doc, size = gram[order], doc[order], size[order]
-    m = gram.size
-    if m == 0:
-        return (np.zeros(0, dtype=doc.dtype),) * 2
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    np.not_equal(gram[1:], gram[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    lens = np.diff(np.append(starts, m))
-    ls, rs = [], []
-    for s, k in zip(starts[lens > 1], lens[lens > 1]):
-        i, j = np.triu_indices(int(k), 1)
-        a, b = doc[s + i], doc[s + j]          # a < b (sorted within group)
-        na, nb = size[s + i], size[s + j]
-        keep = np.minimum(na, nb) + 1e-9 >= threshold * np.maximum(na, nb)
-        ls.append(a[keep])
-        rs.append(b[keep])
-    if not ls:
-        return (np.zeros(0, dtype=doc.dtype),) * 2
-    return np.concatenate(ls), np.concatenate(rs)
 
 
 def _verify_pairs(left: np.ndarray, right: np.ndarray,
@@ -141,9 +102,8 @@ def _verify_pairs(left: np.ndarray, right: np.ndarray,
     both-sides-flattened composite-key search here (that materializes
     sum(size_l + size_r) elements and searches at log of the TOTAL;
     measured 2.5x slower at 431k candidate pairs x ~290 grams).  The
-    per-pair Python overhead parallelizes away: large candidate sets are
-    verified in ``map_batches`` (the scale path and the driver path's
-    distributed-verify branch), never in one driver loop.  The unrounded
+    per-pair Python overhead parallelizes away: candidates are verified in
+    ``map_batches``, never in one driver loop.  The unrounded
     value gates (like the SQL twin); output rounded half-up to 4
     decimals."""
     n = len(left)
@@ -183,11 +143,10 @@ def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
     """Dataset -> exact near-dup pair table (left_id, right_id, jaccard),
     every unordered pair with word-``n``-gram Jaccard >= ``threshold``,
     sorted by (left_id, right_id).  See module docstring for the scale
-    shape; below ``driver_max`` docs the link runs in one driver pass."""
-    import ray.data as rd
-    from .agg import distinct_by_key
-    from .joins import (_collect, hash_join_pairs, keyed_shuffle_partitions,
-                        safe_combine)
+    shape; up to ``driver_max`` docs the candidate link runs in one
+    driver pass."""
+    from .joins import hash_join_pairs, safe_combine
+    from .lsh import all_pairs, bucket_pairs
 
     def sig_kernel(b: pa.Table) -> pa.Table:
         texts = b[text_col].to_pylist()
@@ -200,54 +159,6 @@ def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
         return pa.table({id_col: b[id_col], "n_grams": pa.array(counts),
                          "grams": grams})
 
-    # 256-doc batches: tokenization/hashing saturates vectorization well
-    # below this; larger batches underparallelize small corpora (cf.
-    # pipelines/text_dedup.text_signatures)
-    sig = ds.map_batches(sig_kernel, batch_format="pyarrow",
-                         batch_size=256).materialize()
-    n_docs = sig.count()
-
-    if n_docs <= driver_max:
-        tbl = safe_combine(_collect(sig))
-        ids = tbl[id_col].to_numpy(zero_copy_only=False)
-        sizes = tbl["n_grams"].to_numpy(zero_copy_only=False)
-        arrs = _list_to_arrays(tbl["grams"])
-        plen = _prefix_len(sizes, threshold)
-        doc_idx = np.repeat(np.arange(len(ids)), plen)
-        off = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=off[1:])
-        flat = np.concatenate([a for a in arrs]) if arrs else \
-            np.zeros(0, dtype=_U64)
-        gi = np.repeat(off[:-1], plen) + _ranges_within(plen)
-        li, ri = _pairs_from_postings(flat[gi], doc_idx, sizes[doc_idx],
-                                      threshold)
-        if li.size:
-            pk = hash_u64_pair(li.astype(_U64), ri.astype(_U64))
-            _, ui = np.unique(pk, return_index=True)
-            li, ri = li[ui], ri[ui]
-        # li/ri order by table POSITION; with a multi-block read that is
-        # not id order — canonicalize to left_id < right_id by VALUE (the
-        # scale path's pair kernel orders by value already)
-        sw = ids[li] > ids[ri]
-        li, ri = np.where(sw, ri, li), np.where(sw, li, ri)
-        if li.size > 20_000:
-            # candidate-heavy corpora (templated text admits ~100 prefix
-            # collisions per doc at t=0.5): fan the verification out
-            # across the cluster through the scale path's pair join +
-            # kernel instead of one driver loop
-            pairs_ds = rd.from_arrow(pa.table({
-                "left_id": pa.array(ids[li]),
-                "right_id": pa.array(ids[ri])})).repartition(
-                    max(2, min(64, li.size // 8192)))
-            return _distributed_verify(pairs_ds, sig, id_col, threshold)
-        out = _verify_pairs(ids[li], ids[ri],
-                            [arrs[i] for i in li], [arrs[i] for i in ri],
-                            threshold)
-        order = np.lexsort((out["right_id"].to_numpy(zero_copy_only=False),
-                            out["left_id"].to_numpy(zero_copy_only=False)))
-        return rd.from_arrow(out.take(pa.array(order, pa.int64())))
-
-    # ---- scale path: keyed shuffle on gram, then pair-payload join ----
     def postings_kernel(b: pa.Table) -> pa.Table:
         arr = safe_combine(b["grams"])
         o = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -259,41 +170,21 @@ def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
         ridx = np.repeat(np.arange(b.num_rows), plen)
         return pa.table({
             "gram": pa.array(flat[gi].view(np.int64), pa.int64()),
-            "left_id": b[id_col].take(pa.array(ridx)),
+            "id": b[id_col].take(pa.array(ridx)),
             "n_grams": pa.array(sizes[ridx]),
         })
 
-    def pair_kernel(b: pa.Table) -> pa.Table:
-        gram = b["gram"].to_numpy(zero_copy_only=False).view(_U64)
-        doc = b["left_id"].to_numpy(zero_copy_only=False)
-        size = b["n_grams"].to_numpy(zero_copy_only=False)
-        li, ri = _pairs_from_postings(gram, doc, size, threshold)
-        pk = _pair_keys(li, ri).view(np.int64)
-        return pa.table({"left_id": pa.array(li), "right_id": pa.array(ri),
-                         "pair_key": pa.array(pk, pa.int64())})
-
-    postings = sig.map_batches(postings_kernel, batch_format="pyarrow")
-    pairs = (postings
-             .repartition(keyed_shuffle_partitions(shuffle_partitions),
-                          keys=["gram"])
-             .map_batches(pair_kernel, batch_format="pyarrow",
-                          batch_size=None))
-    # candidate-pair cardinality is quadratic in posting-list sizes, so
-    # declare the only true upper bound (n^2): above driver_max this always
-    # routes the distinct through the keyed hash-shuffle, never a
-    # single-block combine tree
-    pairs = distinct_by_key(pairs, "pair_key",
-                            approx_count=n_docs * n_docs
-                            ).drop_columns(["pair_key"])
-    return _distributed_verify(pairs, sig, id_col, threshold)
-
-
-def _distributed_verify(pairs_ds, sig, id_col: str, threshold: float):
-    """Fan candidate-pair verification across the cluster: size-adaptive
-    pair<->signature join, per-batch exact Jaccard kernel, global sort."""
-    from .joins import hash_join_pairs
-
-    joined = hash_join_pairs(pairs_ds, sig, id_col=id_col,
+    # 256-doc batches: tokenization/hashing saturates vectorization well
+    # below this; larger batches underparallelize small corpora (cf.
+    # pipelines/text_dedup.text_signatures)
+    sig = ds.map_batches(sig_kernel, batch_format="pyarrow",
+                         batch_size=256).materialize()
+    pairs = bucket_pairs(
+        sig.map_batches(postings_kernel, batch_format="pyarrow"),
+        lambda t: all_pairs(t, "gram", "id", "n_grams", threshold),
+        key="gram", driver=sig.count() <= driver_max,
+        shuffle_partitions=shuffle_partitions)
+    joined = hash_join_pairs(pairs, sig, id_col=id_col,
                              payload_cols=["grams", "n_grams"])
 
     def verify_kernel(b: pa.Table) -> pa.Table:

@@ -5,46 +5,21 @@ bands — any pair within Hamming distance ``max_ham`` agrees on at least
 one whole band, so bucketing by (band index, band bits) finds EVERY such
 pair; exact Hamming verification prunes band collisions.  This is the
 standalone form of the flagship's pixel-SimHash channel
-(stages/lsh.py CH_PHASH banding) with a per-pair exact verdict.
+(stages/lsh.py CH_PHASH banding, same ``hamming_band_keys``) with a
+per-pair exact verdict.
 
-Scale shape mirrors stages/ngram_jaccard.py: narrow (band, doc, simhash)
-postings through ONE keyed hash-shuffle, per-partition pair emission
-(star-free, exact — Hamming-ball buckets are small by construction),
-64-bit pair-key distinct with declared cardinality, then verification
-against the signature table via the size-adaptive pair join.  A driver
-short-circuit below ``driver_max`` docs runs the same kernels in one
-pass."""
+Narrow (band, id) postings go through ``lsh.bucket_pairs`` with the
+all-pairs emit (exact — Hamming-ball buckets are small by construction):
+one driver pass up to ``driver_max`` docs, one keyed hash-shuffle above.
+The distinct candidates are verified against the signature table via the
+size-adaptive pair join."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 
-from ..functions.hashing import hash_u64_pair, splitmix64
-
-_U64 = np.uint64
-
-
-def _band_keys(sim: np.ndarray, n_bands: int) -> np.ndarray:
-    """(n,) int64 simhashes -> (n, n_bands) uint64 band bucket keys."""
-    s = sim.view(_U64)
-    width = 64 // n_bands
-    mask = _U64((1 << width) - 1)
-    out = np.empty((s.size, n_bands), dtype=_U64)
-    for b in range(n_bands):
-        piece = (s >> _U64(b * width)) & mask
-        out[:, b] = splitmix64(piece ^ splitmix64(
-            np.full(s.size, _U64(b + 3), dtype=_U64)))
-    return out
-
-
-def _ham64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = a.view(_U64) ^ b.view(_U64)
-    pop = np.zeros(x.size, dtype=np.int64)
-    while x.any():
-        pop += (x & _U64(1)).astype(np.int64)
-        x = x >> _U64(1)
-    return pop
+from ..functions.hashing import hamming_band_keys, hamming_u64
 
 
 def simhash_hamming_pairs(sig_ds, *, max_ham: int = 3,
@@ -54,84 +29,36 @@ def simhash_hamming_pairs(sig_ds, *, max_ham: int = 3,
     """(id, simhash:int64) dataset -> every unordered pair with Hamming
     distance <= ``max_ham`` (exact, by pigeonhole over ``max_ham + 1``
     bands), sorted by (left_id, right_id)."""
-    import ray.data as rd
-    from .agg import distinct_by_key
-    from .joins import (_collect, hash_join_pairs, keyed_shuffle_partitions,
-                        safe_combine)
-    from .ngram_jaccard import _pairs_from_postings
+    from .joins import hash_join_pairs
+    from .lsh import all_pairs, bucket_pairs
 
     n_bands = max_ham + 1
-    sig_ds = sig_ds.materialize()
-    n_docs = sig_ds.count()
+    sig_ds = sig_ds.select_columns([id_col, sim_col]).materialize()
 
     def postings(b: pa.Table) -> pa.Table:
-        sim = b[sim_col].to_numpy(zero_copy_only=False)
-        bk = _band_keys(sim, n_bands)
-        n = b.num_rows
-        ridx = np.repeat(np.arange(n), n_bands)
+        bk = hamming_band_keys(b[sim_col].to_numpy(zero_copy_only=False),
+                               n_bands)
+        ridx = np.repeat(np.arange(b.num_rows), n_bands)
         return pa.table({
             "band": pa.array(bk.ravel().view(np.int64), pa.int64()),
-            "left_id": b[id_col].take(pa.array(ridx)),
+            "id": b[id_col].take(pa.array(ridx)),
         })
 
-    def verify(ids_l, ids_r, sim_l, sim_r):
-        ham = _ham64(sim_l, sim_r)
-        keep = ham <= max_ham
+    pairs = bucket_pairs(sig_ds.map_batches(postings, batch_format="pyarrow"),
+                         lambda t: all_pairs(t, "band", "id"), key="band",
+                         driver=sig_ds.count() <= driver_max,
+                         shuffle_partitions=shuffle_partitions)
+    joined = hash_join_pairs(pairs, sig_ds, id_col=id_col,
+                             payload_cols=[sim_col])
+
+    def verify(b: pa.Table) -> pa.Table:
+        ham = hamming_u64(b[sim_col + "_l"].to_numpy(zero_copy_only=False),
+                          b[sim_col + "_r"].to_numpy(zero_copy_only=False))
+        keep = pa.array(ham <= max_ham)
         return pa.table({
-            "left_id": pa.array(ids_l[keep]),
-            "right_id": pa.array(ids_r[keep]),
-            "hamming": pa.array(ham[keep], pa.int64())})
+            "left_id": b["left_id"].filter(keep),
+            "right_id": b["right_id"].filter(keep),
+            "hamming": pa.array(ham, pa.int64()).filter(keep)})
 
-    if n_docs <= driver_max:
-        tbl = safe_combine(_collect(sig_ds.select_columns([id_col, sim_col])))
-        ids = tbl[id_col].to_numpy(zero_copy_only=False)
-        sim = tbl[sim_col].to_numpy(zero_copy_only=False)
-        bk = _band_keys(sim, n_bands)
-        doc_idx = np.repeat(np.arange(len(ids)), n_bands)
-        li, ri = _pairs_from_postings(bk.ravel(), doc_idx,
-                                      np.ones(doc_idx.size, dtype=np.int64),
-                                      0.0)
-        if li.size:
-            pk = hash_u64_pair(li.astype(_U64), ri.astype(_U64))
-            _, ui = np.unique(pk, return_index=True)
-            li, ri = li[ui], ri[ui]
-        sw = ids[li] > ids[ri]
-        li, ri = np.where(sw, ri, li), np.where(sw, li, ri)
-        out = verify(ids[li], ids[ri], sim[li], sim[ri])
-        order = np.lexsort((out["right_id"].to_numpy(zero_copy_only=False),
-                            out["left_id"].to_numpy(zero_copy_only=False)))
-        return rd.from_arrow(out.take(pa.array(order, pa.int64())))
-
-    def pair_kernel(b: pa.Table) -> pa.Table:
-        band = b["band"].to_numpy(zero_copy_only=False).view(_U64)
-        doc = b["left_id"].to_numpy(zero_copy_only=False)
-        li, ri = _pairs_from_postings(band, doc,
-                                      np.ones(doc.size, dtype=np.int64), 0.0)
-        from .ngram_jaccard import _pair_keys
-        pk = _pair_keys(li, ri).view(np.int64)
-        return pa.table({"left_id": pa.array(li), "right_id": pa.array(ri),
-                         "pair_key": pa.array(pk, pa.int64())})
-
-    post = sig_ds.map_batches(postings, batch_format="pyarrow")
-    pairs = (post.repartition(keyed_shuffle_partitions(shuffle_partitions),
-                              keys=["band"])
-                 .map_batches(pair_kernel, batch_format="pyarrow",
-                              batch_size=None))
-    # pair cardinality is quadratic in bucket sizes (duplicate-heavy
-    # corpora put m identical hashes in one band): declare n^2 so the
-    # distinct always takes the keyed shuffle past driver_max
-    pairs = distinct_by_key(pairs, "pair_key",
-                            approx_count=n_docs * n_docs
-                            ).drop_columns(["pair_key"])
-    joined = hash_join_pairs(pairs, sig_ds.select_columns([id_col, sim_col]),
-                             id_col=id_col, payload_cols=[sim_col])
-
-    def vkernel(b: pa.Table) -> pa.Table:
-        return verify(
-            b["left_id"].to_numpy(zero_copy_only=False),
-            b["right_id"].to_numpy(zero_copy_only=False),
-            b[sim_col + "_l"].to_numpy(zero_copy_only=False),
-            b[sim_col + "_r"].to_numpy(zero_copy_only=False))
-
-    return joined.map_batches(vkernel, batch_format="pyarrow") \
+    return joined.map_batches(verify, batch_format="pyarrow") \
                  .sort(["left_id", "right_id"])

@@ -19,19 +19,15 @@ used by the flagship's substring channel); this stage is the EXACT tier:
   test).  Not SQL-expressible (rows-only check); parity vs the O(n·m) DP
   is property-tested.
 
-Scale shape (the 100 TB path), mirroring ``stages/ngram_jaccard``:
+Scale shape (the 100 TB path):
   - gram sets: one ``map_batches`` pass — byte-level rolling polynomial
     hash of every width-gram (``char_shingle_hashes``), per-segment
     sort+unique, no Python per row.
-  - postings: narrow (gram:int64, doc_id) rows; ONE keyed hash-shuffle
-    ``repartition(P, keys=["gram"])`` co-locates each posting list, pairs
-    are emitted per partition (each shared gram lives in exactly one
-    partition, so cross-partition double-counting is impossible).
-  - shared-gram counts: ``grouped_agg`` over (left_id, right_id) with the
-    declared n² cardinality bound -> keyed-shuffle combine above the tree
-    threshold.
-  Below ``driver_max`` docs the link short-circuits to one vectorized
-  driver pass (same kernels, no shuffle overhead at test scale).
+  - postings: narrow (gram:int64, doc_id) rows through ``lsh.bucket_pairs``
+    with the all-pairs emit — one driver pass up to ``driver_max`` docs,
+    ONE keyed hash-shuffle on gram above.  Each shared gram lies wholly in
+    one bucket and emits one row per pair, so the engine's exact per-pair
+    count IS the shared-gram count.
 
 Quadratic contract (same as ngram_jaccard's m(m-1)/2): a width-gram shared
 by g documents emits g(g-1)/2 pairs — the exact answer.  Boilerplate-heavy
@@ -57,6 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hashing import (_ranges_within, char_shingle_hashes,
                                  sort_segments)
@@ -94,36 +91,37 @@ def _gram_sets(texts, width: int, seed: int
     return flat[first], np.bincount(seg[first], minlength=n).astype(np.int64)
 
 
-def _pairs_per_gram(gram: np.ndarray, doc: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """One (left<right) doc pair row per shared gram (NOT deduped across
-    grams — the downstream count over identical pairs IS the shared-gram
-    count).  Reuses the posting-group expansion of the ngram stage with
-    the length filter disabled (threshold 0 keeps every pair)."""
-    from .ngram_jaccard import _pairs_from_postings
-    ones = np.ones(doc.shape[0], dtype=np.int64)
-    return _pairs_from_postings(gram, doc, ones, 0.0)
-
-
-def _drop_hot_grams(gram: np.ndarray, cap: int,
-                    lineage: dict | None) -> np.ndarray:
+def _hot_keep(gram: np.ndarray, cap: int) -> np.ndarray:
     """Boolean keep-mask over posting rows, dropping every row of a gram
-    with more than ``cap`` postings.  ``gram`` must contain each gram's
-    COMPLETE posting set (driver path: the whole corpus; shuffle path: one
-    keyed partition, where each gram lives wholly).  Accumulates exact
-    dropped-gram lineage counts into ``lineage`` when given."""
-    uniq, inv, counts = np.unique(gram, return_inverse=True,
-                                  return_counts=True)
-    keep = counts[inv] <= cap
-    if lineage is not None:
-        hot = counts > cap
-        lineage["dropped_grams"] = lineage.get("dropped_grams", 0) \
-            + int(hot.sum())
-        lineage["dropped_postings"] = lineage.get("dropped_postings", 0) \
-            + int(counts[hot].sum())
-        lineage["max_postings"] = max(lineage.get("max_postings", 0),
-                                      int(counts.max()) if counts.size else 0)
-    return keep
+    with more than ``cap`` postings.  ``gram`` must hold each gram's
+    COMPLETE posting set (``bucket_pairs`` hands its emit whole buckets)."""
+    _, inv, counts = np.unique(gram, return_inverse=True, return_counts=True)
+    return counts[inv] <= cap
+
+
+def _hot_lineage(postings, cap: int, lineage: dict) -> None:
+    """Add the exact dropped-gram counts of ``cap`` (dropped_grams,
+    dropped_postings, max_postings) to ``lineage``: one grouped count per
+    gram, reduced to one stats row per block."""
+    from .agg import grouped_agg
+    from .joins import _collect
+
+    def stats(b: pa.Table) -> pa.Table:
+        c = b["c"].to_numpy(zero_copy_only=False)
+        hot = c > cap
+        return pa.table({
+            "dropped_grams": pa.array([int(hot.sum())], pa.int64()),
+            "dropped_postings": pa.array([int(c[hot].sum())], pa.int64()),
+            "max_postings": pa.array([int(c.max()) if c.size else 0],
+                                     pa.int64())})
+
+    st = _collect(grouped_agg(postings, ["gram"], [("gram", "count", "c")])
+                  .map_batches(stats, batch_format="pyarrow",
+                               batch_size=None))
+    for k in ("dropped_grams", "dropped_postings"):
+        lineage[k] = lineage.get(k, 0) + int(pc.sum(st[k]).as_py() or 0)
+    lineage["max_postings"] = max(lineage.get("max_postings", 0),
+                                  int(pc.max(st["max_postings"]).as_py() or 0))
 
 
 def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
@@ -143,9 +141,8 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
     (dropped_grams/dropped_postings/max_postings).  Default ``None`` keeps
     the fully-exact contract."""
     import ray.data as rd
-    from .agg import grouped_agg
-    from .joins import (_collect, keyed_repartition,
-                        keyed_shuffle_partitions, safe_combine)
+    from .joins import safe_combine
+    from .lsh import all_pairs, bucket_pairs
 
     def sig_kernel(b: pa.Table) -> pa.Table:
         flat, counts = _gram_sets(b[text_col], width, seed)
@@ -156,18 +153,24 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
             pa.array(flat.view(np.int64), pa.int64()))
         return pa.table({id_col: b[id_col], "grams": grams})
 
+    def postings_kernel(b: pa.Table) -> pa.Table:
+        arr = safe_combine(b["grams"])
+        o = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+        flat = np.asarray(arr.flatten()
+                          .to_numpy(zero_copy_only=False))
+        ridx = np.repeat(np.arange(b.num_rows), np.diff(o))
+        return pa.table({"gram": pa.array(flat, pa.int64()),
+                         "id": b[id_col].take(pa.array(ridx))})
+
+    def emit(t: pa.Table) -> pa.Table:
+        if hot_gram_max is not None:
+            t = t.filter(pa.array(_hot_keep(
+                t["gram"].to_numpy(zero_copy_only=False), hot_gram_max)))
+        return all_pairs(t, "gram", "id")
+
     sig = ds.map_batches(sig_kernel, batch_format="pyarrow",
                          batch_size=256).materialize()
     n_docs = sig.count()
-
-    def finish(left: np.ndarray, right: np.ndarray, shared: np.ndarray):
-        order = np.lexsort((right, left))
-        return rd.from_arrow(pa.table({
-            "left_id": pa.array(left[order]),
-            "right_id": pa.array(right[order]),
-            "shared_grams": pa.array(shared[order].astype(np.int64)),
-        }))
-
     if n_docs == 0:
         # a fully-empty input can collect schema-less (no blocks); emit the
         # typed empty directly (int64 ids — the documents-table id type)
@@ -176,88 +179,15 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
             "right_id": pa.array([], pa.int64()),
             "shared_grams": pa.array([], pa.int64())}))
 
-    if n_docs <= driver_max:
-        tbl = safe_combine(_collect(sig))
-        ids = tbl[id_col].to_numpy(zero_copy_only=False)
-        arr = safe_combine(tbl["grams"])
-        off = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        sizes = np.diff(off)
-        flat = np.asarray(arr.flatten()
-                          .to_numpy(zero_copy_only=False)).view(_U64)
-        doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), sizes)
-        if hot_gram_max is not None:
-            keep = _drop_hot_grams(flat, hot_gram_max, lineage)
-            flat, doc_idx = flat[keep], doc_idx[keep]
-        li, ri = _pairs_per_gram(flat, doc_idx)
-        if li.size == 0:
-            return finish(ids[:0], ids[:0], np.zeros(0, dtype=np.int64))
-        # positional pair key is exact (no hash): count rows per pair
-        key = li * np.int64(n_docs) + ri
-        uk, shared = np.unique(key, return_counts=True)
-        li, ri = uk // np.int64(n_docs), uk % np.int64(n_docs)
-        l_val, r_val = ids[li], ids[ri]
-        sw = l_val > r_val                 # canonicalize by id VALUE
-        return finish(np.where(sw, r_val, l_val),
-                      np.where(sw, l_val, r_val), shared)
-
-    # ---- scale path: keyed shuffle on gram, count pairs via grouped_agg
-    def postings_kernel(b: pa.Table) -> pa.Table:
-        arr = safe_combine(b["grams"])
-        o = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = np.asarray(arr.flatten()
-                          .to_numpy(zero_copy_only=False))
-        ridx = np.repeat(np.arange(b.num_rows), np.diff(o))
-        return pa.table({"gram": pa.array(flat, pa.int64()),
-                         id_col: b[id_col].take(pa.array(ridx))})
-
-    def pair_kernel(b: pa.Table) -> pa.Table:
-        gram = b["gram"].to_numpy(zero_copy_only=False).view(_U64)
-        doc = b[id_col].to_numpy(zero_copy_only=False)
-        if hot_gram_max is not None:
-            # each gram lives wholly in this partition (keyed shuffle), so
-            # the local posting count IS the global one — the cap is exact
-            keep = _drop_hot_grams(gram, hot_gram_max, None)
-            gram, doc = gram[keep], doc[keep]
-        li, ri = _pairs_per_gram(gram, doc)
-        sw = li > ri                       # canonicalize by id VALUE
-        return pa.table({
-            "left_id": pa.array(np.where(sw, ri, li)),
-            "right_id": pa.array(np.where(sw, li, ri))})
-
     postings = sig.map_batches(postings_kernel, batch_format="pyarrow")
-    shuffled = keyed_repartition(
-        postings, keyed_shuffle_partitions(shuffle_partitions), ["gram"])
     if hot_gram_max is not None and lineage is not None:
-        # exact dropped-gram accounting: one narrow pass over the already-
-        # shuffled postings (hot grams are few by definition — the stats
-        # rows are one per partition, trivially collectable)
-        shuffled = shuffled.materialize()
-
-        def hot_stats(b: pa.Table) -> pa.Table:
-            g = b["gram"].to_numpy(zero_copy_only=False).view(_U64)
-            _, counts = np.unique(g, return_counts=True)
-            hot = counts > hot_gram_max
-            return pa.table({
-                "dropped_grams": pa.array([int(hot.sum())], pa.int64()),
-                "dropped_postings": pa.array([int(counts[hot].sum())],
-                                             pa.int64()),
-                "max_postings": pa.array(
-                    [int(counts.max()) if counts.size else 0], pa.int64())})
-
-        st = shuffled.map_batches(hot_stats, batch_format="pyarrow",
-                                  batch_size=None).to_pandas()
-        lineage["dropped_grams"] = lineage.get("dropped_grams", 0) \
-            + int(st["dropped_grams"].sum())
-        lineage["dropped_postings"] = lineage.get("dropped_postings", 0) \
-            + int(st["dropped_postings"].sum())
-        lineage["max_postings"] = max(lineage.get("max_postings", 0),
-                                      int(st["max_postings"].max()))
-    pairs = shuffled.map_batches(pair_kernel, batch_format="pyarrow",
-                                 batch_size=None)
-    counted = grouped_agg(pairs, ["left_id", "right_id"],
-                          [("left_id", "count", "shared_grams")],
-                          approx_count=n_docs * n_docs)
-    return counted.sort(["left_id", "right_id"])
+        postings = postings.materialize()
+        _hot_lineage(postings, hot_gram_max, lineage)
+    pairs = bucket_pairs(postings, emit, key="gram",
+                         driver=n_docs <= driver_max,
+                         shuffle_partitions=shuffle_partitions)
+    return pairs.rename_columns({"n": "shared_grams"}) \
+                .sort(["left_id", "right_id"])
 
 
 def substring_lcs(ds, *, width: int = 32, id_col: str = "doc_id",

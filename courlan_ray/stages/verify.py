@@ -26,10 +26,9 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import DedupConfig
-from ..functions.hashing import _ranges_within
+from ..functions.hashing import _ranges_within, hamming_u64
 
 _U64 = np.uint64
-_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 _OUT_SCHEMA = pa.schema([
     ("left_id", pa.string()), ("right_id", pa.string()),
@@ -39,11 +38,6 @@ _OUT_SCHEMA = pa.schema([
 ])
 
 _EMPTY_OUT = pa.table({f.name: pa.array([], f.type) for f in _OUT_SCHEMA})
-
-
-def _ham(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = a.astype(np.int64).view(_U64) ^ b.astype(np.int64).view(_U64)
-    return _POP[x.view(np.uint8).reshape(len(x), 8)].sum(axis=1).astype(np.int32)
 
 
 def _lcs_len(a: bytes, b: bytes) -> int:
@@ -110,8 +104,8 @@ def _verdicts(cfg: DedupConfig, *, mh_l, mh_r, ph_l, ph_r, sp_l, sp_r,
     cap_buf_r, cap_s_r, cap_e_r = cap_r[0], cap_r[1][:-1], cap_r[1][1:]
     n = len(ph_l)
     jac = (mh_l == mh_r).mean(axis=1) if n else np.zeros(0)
-    ph = _ham(ph_l, ph_r)
-    sp = _ham(sp_l, sp_r)
+    ph = hamming_u64(ph_l, ph_r)
+    sp = hamming_u64(sp_l, sp_r)
 
     cap_ok = jac >= cfg.jaccard_threshold
     if "phash" in cfg.channels:

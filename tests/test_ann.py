@@ -79,6 +79,25 @@ def test_embedding_neardup_finds_planted_pairs():
         assert float(np.dot(M[l], M[r])) >= 0.95 - 1e-9
 
 
+@pytest.mark.parametrize("bits", [6, 1])
+def test_embedding_neardup_same_on_both_sides(bits):
+    """Driver side and keyed-shuffle side (``lsh_driver_link_max=0``) give
+    the same pairs; bits=1 makes every bucket oversized (star edges)."""
+    from courlan_ray.stages.ann import embedding_neardup_pairs
+    ids, vecs = _corpus()
+
+    def run(cfg):
+        out = embedding_neardup_pairs(_ds(ids, vecs), cfg, threshold=0.95,
+                                      bits=bits).to_pandas()
+        return out.sort_values(["left_id", "right_id"]) \
+                  .reset_index(drop=True)
+
+    driver = run(DedupConfig())
+    pd.testing.assert_frame_equal(driver, run(DedupConfig(
+        lsh_driver_link_max=0)))
+    assert len(driver) >= 1
+
+
 def test_cosine_pairs_exact_matches_bruteforce():
     from courlan_ray.stages.ann import cosine_pairs_exact
     import itertools

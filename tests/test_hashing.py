@@ -51,6 +51,23 @@ def test_hamming():
     assert H.hamming_u64(a, a)[0] == 0
 
 
+def test_hamming_matches_python_popcount_on_int64():
+    rng = np.random.default_rng(3)
+    edge = np.array([0, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max],
+                    dtype=np.int64)
+    a = np.concatenate([rng.integers(np.iinfo(np.int64).min,
+                                     np.iinfo(np.int64).max, 500,
+                                     dtype=np.int64), edge, edge])
+    b = np.concatenate([rng.integers(np.iinfo(np.int64).min,
+                                     np.iinfo(np.int64).max, 500,
+                                     dtype=np.int64), edge, edge[::-1]])
+    want = [bin((int(x) ^ int(y)) & (2**64 - 1)).count("1")
+            for x, y in zip(a, b)]
+    assert H.hamming_u64(a, b).tolist() == want
+    # uint64 input compares the same bits
+    assert H.hamming_u64(a.view(np.uint64), b.view(np.uint64)).tolist() == want
+
+
 def test_band_keys_equal_for_equal_sigs():
     sig = np.random.default_rng(0).integers(0, 2**63, (2, 128)).astype(np.uint64)
     sig[1] = sig[0]

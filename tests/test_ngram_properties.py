@@ -9,8 +9,8 @@ compares against brute force over the same hashed gram sets."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from courlan_ray.stages.ngram_jaccard import (_gram_sets, _pairs_from_postings,
-                                              _prefix_len)
+from courlan_ray.stages.lsh import _pairs_from_postings
+from courlan_ray.stages.ngram_jaccard import _gram_sets, _prefix_len
 from courlan_ray.functions.hashing import _ranges_within
 
 WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]

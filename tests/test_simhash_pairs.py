@@ -4,7 +4,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from courlan_ray.stages.simhash_pairs import simhash_hamming_pairs, _ham64
+from courlan_ray.functions.hashing import hamming_u64
+from courlan_ray.stages.simhash_pairs import simhash_hamming_pairs
 
 
 def _corpus(seed=21, n=300, n_near=20):
@@ -35,7 +36,7 @@ def test_finds_exactly_the_hamming_ball():
     n = len(sims)
     want = {}
     for i in range(n):
-        d = _ham64(np.full(n - i - 1, sims[i]), sims[i + 1:])
+        d = hamming_u64(np.full(n - i - 1, sims[i]), sims[i + 1:])
         for j in np.flatnonzero(d <= 3):
             want[(i, i + 1 + int(j))] = int(d[j])
     assert got == want and len(want) >= 15

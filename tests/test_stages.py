@@ -79,13 +79,13 @@ def test_distributed_components_matches_union_find():
     pd.testing.assert_frame_equal(want, got, check_dtype=False)
 
 
-def test_candidate_pairs_find_planted_cliques():
+def _planted_clique_sigs(cfg):
+    """Signatures of 30 distinct rows plus a near-dup caption pair
+    (v000, v900) and a re-encoded image pair (v001, v901)."""
     import ray.data as rd
     from courlan_ray.stages.signatures import compute_signatures
-    from courlan_ray.stages.lsh import candidate_pairs
     from courlan_ray.functions.imagecodec import encode_image
     from courlan_ray.sources.synth import make_image
-    cfg = DedupConfig()
     rows = []
     for i in range(30):
         img = make_image(i, 64, 7)
@@ -98,11 +98,35 @@ def test_candidate_pairs_find_planted_cliques():
     rows.append(dict(rows[1], image_id="v901",
                      bytes=encode_image(make_image(1, 64, 7), "jpeg", 75)))
     ds = rd.from_pandas(pd.DataFrame(rows))
-    sigs = compute_signatures(ds, cfg).materialize()
-    pairs = candidate_pairs(sigs, cfg).to_pandas()
+    return compute_signatures(ds, cfg).materialize()
+
+
+def test_candidate_pairs_find_planted_cliques():
+    from courlan_ray.stages.lsh import candidate_pairs
+    cfg = DedupConfig()
+    pairs = candidate_pairs(_planted_clique_sigs(cfg), cfg).to_pandas()
     got = {tuple(sorted(p)) for p in pairs[["left_id", "right_id"]].values}
     assert ("v000", "v900") in got
     assert ("v001", "v901") in got
+
+
+def test_candidate_dedup_survives_id_hash_collisions(monkeypatch):
+    """The candidate distinct is exact on the id values: with every id
+    hash colliding, no distinct pair is lost.  The driver side runs the
+    level-2 link and the distinct in this process, where the patch
+    applies (Ray workers import the module unpatched)."""
+    from courlan_ray.stages import lsh
+    cfg = DedupConfig()
+    sigs = _planted_clique_sigs(cfg)
+
+    def pair_set():
+        out = lsh.candidate_pairs(sigs, cfg).to_pandas()
+        return set(zip(out["left_id"], out["right_id"]))
+
+    want = pair_set()
+    monkeypatch.setattr(lsh, "hash_strings", lambda values, seed=0:
+                        np.zeros(len(values), dtype=np.uint64))
+    assert pair_set() == want and len(want) >= 2
 
 
 def test_hot_bucket_salting_preserves_connectivity():
