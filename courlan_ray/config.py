@@ -61,7 +61,6 @@ class DedupConfig:
 
     # --- connected components ---
     driver_cc_max_pairs: int = 2_000_000   # below: driver union-find; above: distributed
-    cc_max_rounds: int = 20
 
     # --- size-adaptive small/large switches (execution sizing) ---
     lsh_driver_link_max: int = 1_000_000   # LSH level-2 rep rows: below ->
@@ -69,19 +68,14 @@ class DedupConfig:
                                            # above -> keyed hash-shuffle
                                            # (driver lexsort+take of multi-M
                                            # rows is a 10-25 s serial floor)
-    verify_broadcast_max: int = 2_000_000  # signature rows: below ->
-                                           # broadcast probe; above ->
-                                           # partitioned pair<->signature join
-                                           # (both: joins.hash_join_pairs)
+    verify_broadcast_max: int = 2_000_000  # signature rows: within this AND
+                                           # joins.BROADCAST_MAX_BYTES ->
+                                           # broadcast exact-id probe; above
+                                           # -> partitioned pair<->signature
+                                           # join (both: joins.hash_join_pairs)
 
-    # --- sampling (courlan sample_urls generalization) ---
-    sample_k: int = 1                      # representatives per cluster
-    exclude_min: int = 0
-    exclude_max: int = 1 << 62
+    # --- seed of every hash family (shingles, bands, salts) ---
     seed: int = 8675309
-
-    # --- fidelity invariants ---
-    psnr_min_db: float = 40.0
 
     # --- execution sizing ---
     batch_size: int = 4096

@@ -8,9 +8,10 @@ scale"):
   union-find.  Dup edges are O(#duplicates), far smaller than the input.
 - ``distributed_components``: iterative min-label propagation expressed as
   Ray Data shuffles (the BTS-style alternative, PAPERS.md): each round
-  joins the label table to the symmetric edge list and takes the per-node
-  minimum neighbor label; converges in O(cluster diameter) rounds, counted
-  and bounded by ``cfg.cc_max_rounds``.
+  joins the label table to both ends of the symmetric edge list, takes the
+  per-node minimum neighbor label, hooks it onto the node's label too and
+  pointer-jumps, until a round lowers no node's label (an exact count over
+  the label values).
 
 ``cluster_id`` is the minimum ``image_id`` of the component — order-free
 determinism (SURVEY.md §4): no dependence on arrival order or parallelism.
@@ -65,14 +66,20 @@ def driver_union_find(edges: pd.DataFrame) -> pd.DataFrame:
 
 def distributed_components(edges_ds, cfg: DedupConfig,
                            approx_nodes: int | None = None):
-    """Min-label propagation + pointer jumping entirely in Ray Data.
+    """Min-label propagation, hooking and pointer jumping in Ray Data.
     Returns a Dataset (image_id, cluster_id) covering every node appearing
     in edges.
 
-    Each round does (a) neighbor min-propagation and (b) a pointer-jump
-    shortcut (label <- label's label), so convergence is O(log diameter)
-    rounds, not O(diameter) — chain-shaped substring clusters deeper than
-    ``cfg.cc_max_rounds`` still converge (ADVICE round 1 #3).
+    Each round does (a) neighbor min-propagation, (b) hooking (the
+    neighbor's label also lowers the node's label's label) and (c) a
+    pointer-jump shortcut (label <- label's label).  Without (b) a long
+    path with shuffled ids needs rounds on the order of its length; with
+    it, ~log2 of its length (7 for a 300-node path) (ADVICE round 1 #3).
+    The round's aggregation also keeps each node's previous label as
+    ``own``; the loop stops on the first round in which no label fell
+    below it.  Labels only fall and every label is a node of the same
+    component, so the loop ends; once no min-step label falls every edge
+    joins equal labels and hooking and the pointer jump change nothing.
     ``approx_nodes`` (an upper bound on the node count) routes the label
     aggregations to the keyed-shuffle path when the key space exceeds the
     combine tree's single-task capacity."""
@@ -92,8 +99,8 @@ def distributed_components(edges_ds, cfg: DedupConfig,
     if approx_nodes is None:
         approx_nodes = sym.count()       # 2 * edges >= node count
 
-    def min_label(ds):
-        return grouped_agg(ds, ["image_id"], [("label", "min", "label")],
+    def min_label(ds, cols):
+        return grouped_agg(ds, ["image_id"], [(c, "min", c) for c in cols],
                            approx_count=approx_nodes)
 
     def pointer_jump(labels):
@@ -108,57 +115,46 @@ def distributed_components(edges_ds, cfg: DedupConfig,
         return j.map_batches(
             lambda b: pa.table({
                 "image_id": b["image_id"],
-                "label": pc.coalesce(b["parent"], b["label"])}),
+                "label": pc.coalesce(b["parent"], b["label"]),
+                "own": b["own"]}),
             batch_format="pyarrow")
 
     # labels: min neighbor vs self per node
     labels = min_label(sym.map_batches(
-        lambda b: pa.table({"image_id": b["image_id"], "label": b["nbr"]}),
-        batch_format="pyarrow"))
-    labels = labels.map_batches(
         lambda b: pa.table({
             "image_id": b["image_id"],
-            "label": pc.min_element_wise(b["label"], b["image_id"])}),
-        batch_format="pyarrow").materialize()
+            "label": pc.min_element_wise(b["nbr"], b["image_id"])}),
+        batch_format="pyarrow"), ["label"]).materialize()
 
-    converged = False
-    for _round in range(cfg.cc_max_rounds):
-        # propagate: node label flows to each neighbor, take min with own
+    while True:
+        # each edge row carries both ends' labels; the neighbour's label
+        # flows to the node (min-propagation) AND to the node's label
+        # (hooking, as in Shiloach-Vishkin).  Only the node's own row
+        # fills ``own``, so it keeps the old label.
         prop = attach_by_key(sym, labels, ["image_id"],
                              num_partitions=cfg.shuffle_partitions)
+        prop = attach_by_key(
+            prop, labels.rename_columns({"image_id": "nbr",
+                                         "label": "nbr_label"}),
+            ["nbr"], num_partitions=cfg.shuffle_partitions)
         cand = prop.map_batches(
-            lambda b: pa.table({"image_id": b["nbr"], "label": b["label"]}),
+            lambda b: pa.table({
+                "image_id": pa.concat_arrays(
+                    [b["image_id"].combine_chunks(),
+                     b["label"].combine_chunks()]),
+                "label": pa.concat_arrays([b["nbr_label"].combine_chunks()] * 2),
+                "own": pa.nulls(2 * b.num_rows, b["label"].type)}),
             batch_format="pyarrow")
-        merged = cand.union(labels.select_columns(["image_id", "label"]))
-        new_labels = pointer_jump(min_label(merged)).materialize()
-
-        # fixpoint check: total label hash invariant under convergence
-        changed = _label_digest(new_labels) != _label_digest(labels)
-        labels = new_labels
-        if not changed:
-            converged = True
+        own = labels.map_batches(
+            lambda b: b.append_column("own", b["label"]),
+            batch_format="pyarrow")
+        new_labels = pointer_jump(
+            min_label(cand.union(own), ["label", "own"])).materialize()
+        labels = new_labels.select_columns(["image_id", "label"])
+        # labels only fall: none fell -> fixpoint
+        if new_labels.filter(expr="label < own").count() == 0:
             break
-    if not converged:
-        import logging
-        logging.getLogger(__name__).warning(
-            "distributed_components: digest fixpoint NOT reached after %d "
-            "rounds — labels may be under-merged (components split); raise "
-            "cfg.cc_max_rounds", cfg.cc_max_rounds)
     return labels.rename_columns({"label": "cluster_id"})
-
-
-def _label_digest(labels_ds) -> int:
-    from ray.data.aggregate import Sum
-    from ..functions.hashing import hash_strings, hash_u64_pair
-
-    def digest(batch: pa.Table) -> pa.Table:
-        h = hash_u64_pair(hash_strings(batch["image_id"].to_pylist(), seed=5),
-                          hash_strings(batch["label"].to_pylist(), seed=6))
-        return pa.table({"d": pa.array([int(h.view(np.int64).sum())], pa.int64())})
-
-    out = labels_ds.map_batches(digest, batch_format="pyarrow") \
-                   .aggregate(Sum("d", alias_name="d"))
-    return out["d"]
 
 
 def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):

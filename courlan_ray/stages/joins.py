@@ -9,7 +9,9 @@ Three scale-aware patterns, mirroring the reference's lookup shapes:
 - partitioned hash join via ``Dataset.join`` when both sides are large
   (the _search_urls anti-join, urlstore.py:277-295);
 - ``hash_join_pairs``: attach per-id payload columns to a pair table
-  (left_id, right_id) — the candidate-pair -> signature lookup.
+  (left_id, right_id) — the candidate-pair -> signature lookup, matched
+  on the id values themselves (a broadcast ``pd.Index`` or a partitioned
+  join), never on a digest of them.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ def filter_by_keys(ds, keys_ds, key_col: str, *, keep: bool,
     return joined.map_batches(pred, batch_format="pyarrow").drop_columns(["__hit"])
 
 
-#: broadcast budget for attach_by_key's right side, in BYTES — the row
+#: broadcast budget, in BYTES, for attach_by_key's right side and
+#: hash_join_pairs' payload side — the row
 #: count alone is not a safe gate (a 2M-row side with KB-wide payload rows
 #: would broadcast GBs to every node); both must pass.
 BROADCAST_MAX_BYTES = 256 * 2**20
@@ -185,14 +188,11 @@ def attach_by_key(left_ds, right_ds, on: list[str], *,
 
     ``Dataset.join`` has high fixed cost (aggregator actor pool startup),
     so the broadcast path also keeps small/medium pipelines fast."""
-    right_ds = right_ds.materialize()     # count() is then metadata-free and
-    n_right = right_ds.count()            # the collect below doesn't re-execute
-    try:
-        right_bytes = right_ds.size_bytes()
-    except Exception:
-        right_bytes = None
-    if _should_broadcast(n_right, right_bytes, broadcast_max,
-                         broadcast_max_bytes):
+    # materialized: count() is then metadata-free and the collect below
+    # doesn't re-execute
+    right_ds = right_ds.materialize()
+    if _should_broadcast(right_ds.count(), right_ds.size_bytes(),
+                         broadcast_max, broadcast_max_bytes):
         small_df = _collect(right_ds).to_pandas()
         ref = ray.put(small_df)           # converted ONCE, shipped once
 
@@ -211,46 +211,37 @@ def attach_by_key(left_ds, right_ds, on: list[str], *,
 def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str],
                     num_partitions: int = 64, broadcast_max: int = 2_000_000):
     """Attach payload columns for both sides of a (left_id, right_id) pair
-    table.  Small payload sides are broadcast; large ones use two
+    table; a pair with either id missing from the payload is dropped, and
+    a repeated payload id resolves to its first row.  Payload sides within
+    both ``broadcast_max`` rows and ``BROADCAST_MAX_BYTES`` are broadcast
+    with an exact ``pd.Index`` over their ids; larger ones use two
     partitioned hash joins (pairs are narrow, so this is cheap relative to
     the candidate-generation shuffle)."""
     payload_ds = payload_ds.materialize()
-    n_payload = payload_ds.count()
     cols = [id_col] + payload_cols
-    if n_payload <= broadcast_max:
-        from ..functions.hashing import hash_strings
+    if _should_broadcast(payload_ds.count(), payload_ds.size_bytes(),
+                         broadcast_max, BROADCAST_MAX_BYTES):
+        import pandas as pd
 
         tbl = _collect(payload_ds.select_columns(cols))
-        # probe on 64-bit id hashes: numeric searchsorted instead of
-        # per-element Python string comparison over object arrays
-        id_hash = hash_strings(tbl[id_col].to_pylist(), seed=0xA11CE)
-        order = np.argsort(id_hash, kind="stable")
+        index = pd.Index(tbl[id_col].to_pandas())
+        first = ~index.duplicated()
         # combine chunks BEFORE broadcasting: take() over a chunked table
-        # does a per-element chunk lookup and dominates gather time
-        tbl = tbl.take(pa.array(order, pa.int64())).combine_chunks()
-        ref = ray.put((id_hash[order], tbl))
+        # does a per-element chunk lookup and dominates gather time.  The
+        # index's hash table is built on the first probe and then kept
+        # per worker by cached_get.
+        ref = ray.put((index[first],
+                       tbl.filter(pa.array(first)).combine_chunks()))
 
         def attach(batch: pa.Table) -> pa.Table:
-            hashes_sorted, payload = cached_get(ref)
+            index, payload = cached_get(ref)
             out = batch
-            if hashes_sorted.size == 0:
-                # empty payload side -> zero matches, typed like a hit
-                out = batch.slice(0, 0)
-                for c in payload_cols:
-                    for suffix in ("_l", "_r"):
-                        out = out.append_column(
-                            c + suffix, pa.array([], payload[c].type))
-                return out
-            for side in ("left", "right"):
-                probe = hash_strings(out[f"{side}_id"].to_pylist(),
-                                     seed=0xA11CE)
-                pos = np.searchsorted(hashes_sorted, probe)
-                pos = np.clip(pos, 0, len(hashes_sorted) - 1)
-                hit = hashes_sorted[pos] == probe
+            for side, suffix in (("left", "_l"), ("right", "_r")):
+                pos = index.get_indexer(out[f"{side}_id"].to_pandas())
+                hit = pos >= 0
                 if not hit.all():                   # drop unmatched pairs
                     out = out.filter(pa.array(hit))
                     pos = pos[hit]
-                suffix = "_l" if side == "left" else "_r"
                 gathered = payload.take(pa.array(pos, pa.int64()))
                 for c in payload_cols:
                     out = out.append_column(c + suffix, gathered[c])
@@ -287,7 +278,7 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
     out = pairs_ds.join(left, join_type="inner",
                         num_partitions=join_partitions(num_partitions),
                         on=("left_id",), right_on=(f"{id_col}_l",))
-    out = out.join(right, join_type="inner",
+    out = _nonempty_first(out).join(right, join_type="inner",
                    num_partitions=join_partitions(num_partitions),
                    on=("right_id",), right_on=(f"{id_col}_r",))
 
@@ -306,6 +297,23 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
         return batch
 
     return out.map_batches(finish, batch_format="pyarrow", batch_size=None)
+
+
+def _nonempty_first(ds):
+    """Materialize an Arrow-block ``ds`` with its non-empty blocks first.
+
+    ``Dataset.join`` sends each side's schema to every partition with that
+    side's first block, but skips a block with no rows; if the first block
+    is empty, partitions that get no rows from that side see a table with
+    no columns and the join fails.  The first join's output often starts
+    with an empty partition when few pairs match."""
+    import ray.data as rd
+
+    blocks = [(meta.num_rows, ref)
+              for bundle in ds.materialize().iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks]
+    blocks.sort(key=lambda b: b[0] == 0)          # stable: order kept
+    return rd.from_arrow_refs([ref for _, ref in blocks])
 
 
 def _encode_list_col(col) -> pa.Array:

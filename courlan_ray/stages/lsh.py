@@ -53,8 +53,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DedupConfig
-from ..functions.hashing import (band_keys, hamming_band_keys, hash_u64_pair,
-                                 hash_strings, splitmix64, _ranges_within)
+from ..functions.hashing import (band_keys, hamming_band_keys, hash_strings,
+                                 splitmix64, _ranges_within)
 
 _U64 = np.uint64
 
@@ -150,12 +150,6 @@ def banding_rows(sig_batch: pa.Table, cfg: DedupConfig) -> pa.Table:
     })
 
 
-def _group_pos(key_all: np.ndarray, key_agg: np.ndarray) -> np.ndarray:
-    """Position of each row's group in an aggregated table (searchsorted)."""
-    order = np.argsort(key_agg, kind="stable")
-    return order[np.searchsorted(key_agg[order], key_all)]
-
-
 def _local_stars(b: pa.Table, cfg: DedupConfig) -> pa.Table:
     """Level 1: banding + block-local star reduction in one fused pass.
 
@@ -164,34 +158,23 @@ def _local_stars(b: pa.Table, cfg: DedupConfig) -> pa.Table:
       reps  (is_rep=True):  bucket, salt, ch, image_id=local min, cnt,
                             idh = 64-bit hash of the rep id (so the level-2
                             link never sorts or aggregates strings)
+
+    Each member finds its local rep through an exact join on
+    (bucket, salt); ``idh`` and the salt only order and spread rows and
+    decide no identity.
     """
     rows = banding_rows(b, cfg)
-    empty = pa.table({"bucket": pa.array([], pa.int64()),
-                      "salt": pa.array([], pa.int32()),
-                      "ch": pa.array([], pa.int8()),
-                      "image_id": pa.array([], pa.string()),
-                      "partner": pa.array([], pa.string()),
-                      "cnt": pa.array([], pa.int64()),
-                      "idh": pa.array([], pa.int64()),
-                      "is_rep": pa.array([], pa.bool_())})
-    if rows.num_rows == 0:
-        return empty
     agg = rows.group_by(["bucket", "salt"]).aggregate(
         [("image_id", "min"), ("ch", "min"), ("image_id", "count")])
-    key_all = hash_u64_pair(rows["bucket"].to_numpy(zero_copy_only=False).view(_U64),
-                            rows["salt"].to_numpy(zero_copy_only=False).astype(_U64))
-    key_agg = hash_u64_pair(agg["bucket"].to_numpy(zero_copy_only=False).view(_U64),
-                            agg["salt"].to_numpy(zero_copy_only=False).astype(_U64))
-    pos = _group_pos(key_all, key_agg)
-    reps_for_rows = agg["image_id_min"].take(pa.array(pos, pa.int64()))
-
-    edge_mask = pc.not_equal(rows["image_id"], reps_for_rows)
+    rows = rows.join(agg.select(["bucket", "salt", "image_id_min"]),
+                     ["bucket", "salt"])
+    edge_mask = pc.not_equal(rows["image_id"], rows["image_id_min"])
     f = rows.filter(edge_mask)
     nf, na = f.num_rows, agg.num_rows
     edges = pa.table({
         "bucket": f["bucket"], "salt": f["salt"], "ch": f["ch"],
         "image_id": f["image_id"],
-        "partner": reps_for_rows.filter(edge_mask),
+        "partner": f["image_id_min"],
         "cnt": pa.array(np.ones(nf, dtype=np.int64)),
         "idh": pa.array(np.zeros(nf, dtype=np.int64)),
         "is_rep": pa.array(np.zeros(nf, dtype=bool)),

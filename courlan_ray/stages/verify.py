@@ -22,7 +22,6 @@ boolean columns for lineage.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..config import DedupConfig
@@ -218,8 +217,9 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
     (jaccard, ham_phash, ham_simpix, substr_ratio, verified:bool).
 
     Signatures attach to both pair sides via ``hash_join_pairs``: a
-    broadcast probe up to ``cfg.verify_broadcast_max`` signature rows, two
-    partitioned hash joins above it (no driver materialization)."""
+    broadcast probe up to ``cfg.verify_broadcast_max`` signature rows and
+    ``joins.BROADCAST_MAX_BYTES``, two partitioned hash joins above either
+    (no driver materialization)."""
     from ray.data.dataset import MaterializedDataset
     from .joins import cluster_cpus, hash_join_pairs, sliced
 
@@ -271,23 +271,3 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
 
     return attached.map_batches(lambda b: sliced(b, kernel, _VERDICT_SLICE),
                                 batch_format="pyarrow", batch_size=None)
-
-
-def fidelity_check(pairs_sample: pd.DataFrame, row_lookup) -> pd.DataFrame:
-    """Per-row fidelity invariant on a (small) verified-pair sample:
-    decoded-pixel PSNR >= cfg.psnr_min_db for lossy re-encodes + caption
-    equality (input_hint invariant).  ``row_lookup(image_id) -> row dict``."""
-    from ..functions import imagecodec as codec
-
-    out = []
-    for _, p in pairs_sample.iterrows():
-        a, b = row_lookup(p["left_id"]), row_lookup(p["right_id"])
-        try:
-            ia, ib = codec.decode_image(a["bytes"]), codec.decode_image(b["bytes"])
-            psnr = codec.psnr_db(ia, ib) if ia.shape == ib.shape else 0.0
-        except codec.CodecError:
-            psnr = 0.0
-        out.append({"left_id": p["left_id"], "right_id": p["right_id"],
-                    "psnr_db": psnr,
-                    "caption_equal": a["caption"] == b["caption"]})
-    return pd.DataFrame(out)

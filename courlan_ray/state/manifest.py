@@ -41,8 +41,6 @@ STAGE_FIELDS: dict[str, tuple[str, ...]] = {
     "candidates": ("bands", "phash_bands", "num_salts", "weak_bucket_cap"),
     "verified_pairs": ("jaccard_threshold", "hamming_threshold",
                        "simhash_hamming_threshold", "substring_min_ratio"),
-    "components": ("cc_max_rounds",),
-    "clusters": ("sample_k", "exclude_min", "exclude_max"),
 }
 STAGE_ORDER = list(STAGE_FIELDS)
 

@@ -67,16 +67,22 @@ def test_distributed_components_matches_union_find():
     rng = np.random.default_rng(5)
     # random edges over 60 nodes with chain structure
     nodes = [f"n{i:03d}" for i in range(60)]
-    edges = pd.DataFrame({
+    random_edges = pd.DataFrame({
         "left_id": [nodes[i] for i in rng.integers(0, 60, 80)],
         "right_id": [nodes[i] for i in rng.integers(0, 60, 80)],
     })
-    edges = edges[edges.left_id != edges.right_id].reset_index(drop=True)
-    want = driver_union_find(edges).sort_values("image_id").reset_index(drop=True)
+    random_edges = random_edges[random_edges.left_id != random_edges.right_id]
+    # one 300-node path whose ids are shuffled along it: labels must fall
+    # across many rounds before the fixpoint test may stop the loop
+    path = [f"p{i:03d}" for i in rng.permutation(300)]
+    path_edges = pd.DataFrame({"left_id": path[:-1], "right_id": path[1:]})
     cfg = DedupConfig(shuffle_partitions=4)
-    got = distributed_components(rd.from_pandas(edges), cfg).to_pandas() \
-        .sort_values("image_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(want, got, check_dtype=False)
+    for edges in (random_edges.reset_index(drop=True), path_edges):
+        want = driver_union_find(edges).sort_values("image_id") \
+            .reset_index(drop=True)
+        got = distributed_components(rd.from_pandas(edges), cfg).to_pandas() \
+            .sort_values("image_id").reset_index(drop=True)
+        pd.testing.assert_frame_equal(want, got, check_dtype=False)
 
 
 def _planted_clique_sigs(cfg):
@@ -355,3 +361,121 @@ def test_clear_caches_drops_broadcast_caches():
     assert ann._block_cache_used == 0
     # cache refills transparently after the drop
     assert joins.cached_get(ref) == {"x": 1}
+
+
+def _sorted_rows(tbl: pa.Table) -> list[dict]:
+    return sorted(tbl.to_pylist(), key=lambda r: (r["left_id"], r["right_id"]))
+
+
+def _merged_pairs(pairs: pd.DataFrame, payload: pd.DataFrame) -> list[dict]:
+    """The pandas reference for hash_join_pairs: first payload row per id,
+    inner-merged onto both sides of each pair."""
+    first = payload.drop_duplicates("image_id")
+    out = pairs
+    for side, suffix in (("left", "_l"), ("right", "_r")):
+        renamed = first.rename(columns=lambda c: f"{side}_id" if c == "image_id"
+                               else c + suffix)
+        out = out.merge(renamed, on=f"{side}_id", how="inner")
+    return _sorted_rows(pa.Table.from_pandas(out, preserve_index=False))
+
+
+def _join_pairs(pairs: pd.DataFrame, payload: pa.Table) -> pa.Table:
+    import ray
+    from courlan_ray.stages.joins import hash_join_pairs
+    out = hash_join_pairs(_rd().from_pandas(pairs), _rd().from_arrow(payload),
+                          id_col="image_id", payload_cols=["val", "vec"])
+    parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(parts) if parts else out.schema().base_schema \
+        .empty_table()
+
+
+def test_hash_join_pairs_broadcast_matches_ids_exactly(monkeypatch):
+    """The broadcast side matches on the id values themselves: no id hash
+    is computed, a repeated payload id resolves to its first row, a pair
+    with an unknown id is dropped, and an empty payload gives a typed
+    empty table."""
+    from courlan_ray.functions import hashing
+
+    def no_hash(*a, **k):
+        raise AssertionError("hash_join_pairs hashed an id column")
+
+    monkeypatch.setattr(hashing, "hash_strings", no_hash)
+    payload = pa.table({
+        "image_id": ["a", "b", "b", "c", "d"],
+        "val": pa.array([1, 2, 3, 4, 5], pa.int64()),
+        "vec": pa.array([[1, 1], [2, 2], [3, 3], [4, 4], [5, 5]],
+                        pa.list_(pa.int32())),
+    })
+    pairs = pd.DataFrame({"left_id": ["a", "b", "a", "zz", "c", "b"],
+                          "right_id": ["b", "c", "zz", "c", "a", "d"]})
+    got = _join_pairs(pairs, payload)
+    want = _merged_pairs(pairs, payload.to_pandas())
+    assert _sorted_rows(got) == want
+    assert len(want) == 4 and {r["val_l"] for r in want if r["left_id"] == "b"} == {2}
+
+    empty = _join_pairs(pairs, payload.slice(0, 0))
+    assert empty.num_rows == 0
+    assert empty.schema.field("val_l").type == pa.int64()
+    assert empty.schema.field("vec_r").type == pa.list_(pa.int32())
+
+
+def test_hash_join_pairs_byte_budget_uses_partitioned_join(monkeypatch):
+    """A payload over BROADCAST_MAX_BYTES goes to the partitioned joins even
+    when its row count fits ``broadcast_max``: nothing is collected to the
+    driver."""
+    from courlan_ray.stages import joins
+
+    def no_collect(ds):
+        raise AssertionError("payload broadcast over the byte budget")
+
+    monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 1)
+    monkeypatch.setattr(joins, "_collect", no_collect)
+    payload = pa.table({
+        "image_id": ["a", "b", "c", "d"],
+        "val": pa.array([1, 2, 3, 4], pa.int64()),
+        "vec": pa.array([[1, 1], [2, 2], [3], [4, 4, 4]],
+                        pa.list_(pa.int32())),
+    })
+    pairs = pd.DataFrame({"left_id": ["a", "b", "a", "c"],
+                          "right_id": ["b", "c", "zz", "d"]})
+    got = _join_pairs(pairs, payload)
+    assert _sorted_rows(got) == _merged_pairs(pairs, payload.to_pandas())
+    assert got.num_rows == 3
+
+
+def test_local_stars_links_members_to_group_min():
+    """Every member edge of ``_local_stars`` points at the minimum id of
+    its (bucket, salt) group and every rep row carries that group's
+    size, as a pandas groupby over ``banding_rows`` computes them."""
+    from courlan_ray.stages.lsh import _local_stars, banding_rows
+    rng = np.random.default_rng(3)
+    cfg = DedupConfig(channels=("minhash", "phash"), num_salts=2)
+    n = 40
+    templates = rng.integers(0, 2**31, (3, cfg.num_perm), dtype=np.int32)
+    mh = templates[rng.integers(0, 3, n)]
+    mh[::5, :cfg.rows_per_band] += 1          # some rows leave one band
+    block = pa.table({
+        "image_id": [f"id{i:02d}" for i in rng.permutation(n)],
+        "minhash": pa.FixedSizeListArray.from_arrays(
+            pa.array(mh.ravel(), pa.int32()), cfg.num_perm),
+        "phash": pa.array(rng.choice([7, 7 | (1 << 40), 99], n), pa.int64()),
+        "decode_ok": pa.array(rng.random(n) < 0.8),
+    })
+    rows = banding_rows(block, cfg).to_pandas()
+    groups = rows.groupby(["bucket", "salt"])["image_id"].agg(["min", "size"]) \
+        .reset_index()
+    st1 = _local_stars(block, cfg).to_pandas()
+
+    reps = st1[st1["is_rep"]].merge(groups, on=["bucket", "salt"])
+    assert len(reps) == len(groups) == st1["is_rep"].sum()
+    assert (reps["image_id"] == reps["min"]).all()
+    assert (reps["cnt"] == reps["size"]).all()
+
+    edges = st1[~st1["is_rep"]].merge(groups, on=["bucket", "salt"])
+    assert len(edges) == (~st1["is_rep"]).sum() > 0
+    assert (edges["partner"] == edges["min"]).all()
+    members = rows.merge(groups, on=["bucket", "salt"])
+    members = members[members["image_id"] != members["min"]]
+    key = ["bucket", "salt", "image_id"]
+    assert sorted(map(tuple, edges[key].values)) == \
+        sorted(map(tuple, members[key].values))
