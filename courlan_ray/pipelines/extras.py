@@ -1,4 +1,5 @@
-"""Query pipelines beyond the core SQL set.
+"""Query pipelines beyond the core SQL set (the non-core entries of
+``queries.QUERIES``).
 
 DuckDB-oracled (``EXTRA_ORACLES``): language-ID, quality scoring, batched
 kNN, BPE-ish token counts (RE2-safe pretokenizer), exact n-gram Jaccard,
@@ -21,6 +22,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import DedupConfig
+from ..sources.readers import read_sf_table as _read
 
 _SF_ROWS = {"0.001": 2000, "0.01": 6000, "0.1": 20000}
 
@@ -36,14 +38,6 @@ def _sf_of(sf_dir: str) -> str:
         if sf_dir.rstrip("/").endswith("sf" + k):
             return k
     return "0.001"
-
-
-def _read(sf_dir: str, name: str, columns=None):
-    import ray.data as rd
-
-    from ..stages.joins import strip_metadata
-    return strip_metadata(
-        rd.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns))
 
 
 def _nrows(sf_dir: str, name: str) -> int:
@@ -1074,12 +1068,16 @@ def image_dedup_counters(sf_dir: str):
     return _image_pipeline(sf_dir)["counters"].sort("reject_reason")
 
 
-def synth_parquet_path(sf_dir: str) -> str:
-    """Path of the flagship's synthetic input for this sf (generating it
-    if absent) — the parquet the image_dedup_* queries read AND the
-    image_dedup_counters oracle SQL scans via read_parquet()."""
-    from ..sources.synth import synth_parquet
-    return synth_parquet(_SF_ROWS[_sf_of(sf_dir)], 42)
+def synth_inputs(sf_dir: str) -> None:
+    """Generate (or find cached) this sf's synthetic image, audio, video and
+    HTML tables, so a timed query measures the query, not the synthesis;
+    the image_dedup_counters oracle SQL scans the image table by path."""
+    from ..sources import audiosynth, htmlsynth, synth, videosynth
+    key = _sf_of(sf_dir)
+    synth.synth_parquet(_SF_ROWS[key], 42)
+    audiosynth.synth_audio_parquet(_AUDIO_ROWS[key], 42)
+    videosynth.synth_video_parquet(_VIDEO_ROWS[key], 42)
+    htmlsynth.synth_html_parquet(_HTML_ROWS[key], 42)
 
 
 #: root for the per-query signature/feature parquets the pair-verify
@@ -1140,14 +1138,8 @@ def ensure_oracle_inputs() -> None:
     Called by __ray_entry__.oracle_sql() so the driver's DuckDB run finds
     the synthetic tables (and the pair-verify signature parquets)
     regardless of query/oracle run order."""
-    from ..sources.audiosynth import synth_audio_parquet
-    from ..sources.htmlsynth import synth_html_parquet
-    from ..sources.videosynth import synth_video_parquet
     from ..stages.multimodal import audio_features, video_signatures
-    synth_parquet_path("sf0.01")   # the driver compares at sf=0.01
-    synth_audio_parquet(_AUDIO_ROWS["0.01"], 42)
-    synth_video_parquet(_VIDEO_ROWS["0.01"], 42)
-    synth_html_parquet(_HTML_ROWS["0.01"], 42)
+    synth_inputs("sf0.01")   # the driver compares at sf=0.01
     _materialize_oracle_parquet(
         "audio_feats-sf0.01",
         lambda: audio_features(_audio_ds("sf0.01"), DedupConfig()))
@@ -1783,56 +1775,3 @@ def _build_extra_oracles() -> dict[str, str]:
 
 EXTRA_ORACLES = _build_extra_oracles()
 
-
-EXTRAS = {
-    "doc_minhash_clusters": doc_minhash_clusters,
-    "doc_simhash": doc_simhash,
-    "doc_simhash_pairs": doc_simhash_pairs,
-    "doc_token_counts_bpe": doc_token_counts_bpe,
-    "doc_langid": doc_langid,
-    "doc_quality": doc_quality,
-    "doc_fingerprints": doc_fingerprints,
-    "doc_ngram_jaccard": doc_ngram_jaccard,
-    "doc_substring_pairs": doc_substring_pairs,
-    "doc_substring_lcs": doc_substring_lcs,
-    "doc_top_tokens": doc_top_tokens,
-    "doc_top_tokens_approx": doc_top_tokens_approx,
-    "doc_sample_uniform": doc_sample_uniform,
-    "doc_train_split": doc_train_split,
-    "doc_decontaminate": doc_decontaminate,
-    "events_top3_per_user": events_top3_per_user,
-    "events_value_quantiles_by_type": events_value_quantiles_by_type,
-    "events_hll_users_by_type": events_hll_users_by_type,
-    "orders_bloom_semi_negbal": orders_bloom_semi_negbal,
-    "doc_token_postings": doc_token_postings,
-    "doc_quality_band": doc_quality_band,
-    "doc_top_term": doc_top_term,
-    "doc_repetition": doc_repetition,
-    "doc_pack_assign": doc_pack_assign,
-    "events_asof_prev_click": events_asof_prev_click,
-    "events_rolling_1h_shuffle": events_rolling_1h_shuffle,
-    "events_sessionize_shuffle": events_sessionize_shuffle,
-    "events_asof_prev_click_shuffle": events_asof_prev_click_shuffle,
-    "orders_price_bands": orders_price_bands,
-    "orders_price_quantiles": orders_price_quantiles,
-    "events_distinct_types": events_distinct_types,
-    "events_hll_users": events_hll_users,
-    "q3_shipping": q3_shipping,
-    "events_rolling_1h": events_rolling_1h,
-    "events_sessionize": events_sessionize,
-    "doc_training_prep": doc_training_prep,
-    "emb_knn_batch": emb_knn_batch,
-    "emb_ann_lsh": emb_ann_lsh,
-    "emb_ann_ivf": emb_ann_ivf,
-    "emb_neardup": emb_neardup,
-    "emb_neardup_exact": emb_neardup_exact,
-    "image_dedup_clusters": image_dedup_clusters,
-    "html_extract_links": html_extract_links,
-    "image_dedup_counters": image_dedup_counters,
-    "audio_dedup_pairs": audio_dedup_pairs,
-    "audio_decode_stats": audio_decode_stats,
-    "audio_durations": audio_durations,
-    "video_dedup_pairs": video_dedup_pairs,
-    "video_frame_stats": video_frame_stats,
-    "video_frame_index": video_frame_index,
-}

@@ -33,3 +33,14 @@ def read_table(path: str, *, columns: list[str] | None = None, **kw):
             ) from exc
         return rd.read_lance(path, columns=columns, **kw)
     return rd.read_parquet(path, columns=columns, **kw)
+
+
+def read_sf_table(sf_dir: str, name: str, columns: list[str] | None = None):
+    """One table of a scale-factor directory (``{sf_dir}/{name}.parquet``)
+    with the pandas schema metadata stripped (see
+    ``stages.joins.strip_metadata``) -- the read every query starts from."""
+    import ray.data as rd
+
+    from ..stages.joins import strip_metadata
+    return strip_metadata(
+        rd.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns))

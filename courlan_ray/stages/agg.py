@@ -205,9 +205,3 @@ def grouped_concat(ds, keys: list[str], col: str, *, sep: str = ",",
     return keyed_repartition(narrow, parts, keys).map_batches(
         kernel, batch_format="pyarrow", batch_size=None)
 
-
-def grouped_distinct(ds, keys: list[str], **kw):
-    """Distinct key tuples via the same combine tree."""
-    probe = keys[0]
-    out = grouped_agg(ds, keys, [(probe, "count", "_n")], **kw)
-    return out.drop_columns(["_n"])

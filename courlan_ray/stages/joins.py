@@ -103,8 +103,8 @@ def strip_metadata(ds):
     ("unhashable type: 'dict'") inside Ray's shuffle workers — which
     never import this package, so the logger filter can't reach them and
     every sort/shuffle task logs a "Failed to hash the schemas" warning.
-    Apply at the read boundary (the query `_read` helpers) or before any
-    keyed shuffle."""
+    Apply at the read boundary (``sources.readers.read_sf_table``) or
+    before any keyed shuffle."""
 
     def strip(b: pa.Table) -> pa.Table:
         return b.replace_schema_metadata(None) if b.schema.metadata else b
@@ -149,9 +149,8 @@ def filter_by_keys(ds, keys_ds, key_col: str, *, keep: bool,
     marker = keys_ds.select_columns([kc]).map_batches(
         lambda t: t.append_column("__hit", pa.array(np.ones(t.num_rows, dtype=bool))),
         batch_format="pyarrow")
-    joined = ds.join(marker, join_type="left_outer",
-                     num_partitions=num_partitions, on=(key_col,),
-                     right_on=(kc,))
+    joined = _join(ds, marker, "left_outer", num_partitions=num_partitions,
+                   on=(key_col,), right_on=(kc,))
     pred = (lambda t: t.filter(pc.is_valid(t["__hit"]))) if keep else \
            (lambda t: t.filter(pc.is_null(t["__hit"])))
     return joined.map_batches(pred, batch_format="pyarrow").drop_columns(["__hit"])
@@ -202,10 +201,8 @@ def attach_by_key(left_ds, right_ds, on: list[str], *,
             return batch.merge(cached_get(ref), how=merge_how, on=on)
 
         return left_ds.map_batches(attach, batch_format="pandas")
-    jt = "inner" if how == "inner" else "left_outer"
-    return left_ds.join(right_ds, join_type=jt,
-                        num_partitions=join_partitions(num_partitions),
-                        on=tuple(on))
+    return _join(left_ds, right_ds, "inner" if how == "inner" else "left_outer",
+                 num_partitions=num_partitions, on=tuple(on))
 
 
 def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str],
@@ -275,19 +272,14 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
 
     left = narrow.rename_columns({c: f"{c}_l" for c in cols})
     right = narrow.rename_columns({c: f"{c}_r" for c in cols})
-    out = pairs_ds.join(left, join_type="inner",
-                        num_partitions=join_partitions(num_partitions),
-                        on=("left_id",), right_on=(f"{id_col}_l",))
-    out = _nonempty_first(out).join(right, join_type="inner",
-                   num_partitions=join_partitions(num_partitions),
-                   on=("right_id",), right_on=(f"{id_col}_r",))
+    out = _join(pairs_ds, left, "inner", num_partitions=num_partitions,
+                on=("left_id",), right_on=(f"{id_col}_l",))
+    out = _join(out, right, "inner", num_partitions=num_partitions,
+                on=("right_id",), right_on=(f"{id_col}_r",))
 
     def finish(batch: pa.Table) -> pa.Table:
-        # the joins drop their right-side key columns themselves; clean up
-        # any survivor, then decode the binary-packed list payloads
-        for c in (f"{id_col}_l", f"{id_col}_r"):
-            if c in batch.schema.names:
-                batch = batch.drop_columns([c])
+        # the joins drop their right-side key columns themselves; decode
+        # the binary-packed list payloads
         for c, vt in nested.items():
             for suffix in ("_l", "_r"):
                 name = c + suffix
@@ -300,20 +292,61 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
 
 
 def _nonempty_first(ds):
-    """Materialize an Arrow-block ``ds`` with its non-empty blocks first.
-
-    ``Dataset.join`` sends each side's schema to every partition with that
-    side's first block, but skips a block with no rows; if the first block
-    is empty, partitions that get no rows from that side see a table with
-    no columns and the join fails.  The first join's output often starts
-    with an empty partition when few pairs match."""
+    """Materialize ``ds`` with its non-empty blocks first; returns it with
+    its row count.  A dataset that already starts with a non-empty block
+    (or has no rows) costs one pass over its block metadata."""
     import ray.data as rd
 
+    ds = ds.materialize()
     blocks = [(meta.num_rows, ref)
-              for bundle in ds.materialize().iter_internal_ref_bundles()
+              for bundle in ds.iter_internal_ref_bundles()
               for ref, meta in bundle.blocks]
-    blocks.sort(key=lambda b: b[0] == 0)          # stable: order kept
-    return rd.from_arrow_refs([ref for _, ref in blocks])
+    rows = sum(n for n, _ in blocks)
+    if rows and blocks[0][0] == 0:
+        blocks.sort(key=lambda b: b[0] == 0)      # stable: order kept
+        ds = rd.from_arrow_refs([ref for _, ref in blocks])
+    return ds, rows
+
+
+def _fields(ds) -> list:
+    """``ds``'s columns as Arrow fields (none when the schema is unknown;
+    a type Arrow cannot name is left as null)."""
+    schema = ds.schema()
+    if schema is None:
+        return []
+    return [pa.field(n, t if isinstance(t, pa.DataType) else pa.null())
+            for n, t in zip(schema.names, schema.types)]
+
+
+def _join(left, right, join_type: str, *, num_partitions: int,
+          on: tuple, right_on: tuple | None = None):
+    """``Dataset.join`` (``inner`` or ``left_outer``) for any block layout,
+    fanned out to ``join_partitions(num_partitions)``.
+
+    Ray 2.49's join sends each side's schema to every partition with that
+    side's first block but skips a block with no rows, so an empty first
+    block leaves partitions with a column-less table and the join fails.
+    Both sides are materialized non-empty-first.  A side with no rows
+    short-circuits to the typed result: empty for an inner join or an
+    empty left side, the left rows with null right columns otherwise."""
+    import ray.data as rd
+
+    right_on = right_on or on
+    left, n_left = _nonempty_first(left)
+    right, n_right = _nonempty_first(right)
+    if n_left and n_right:
+        return left.join(right, join_type=join_type,
+                         num_partitions=join_partitions(num_partitions),
+                         on=on, right_on=right_on)
+    extra = [f for f in _fields(right) if f.name not in right_on]
+    if n_left and join_type == "left_outer":
+        def null_fill(batch: pa.Table) -> pa.Table:
+            for f in extra:
+                batch = batch.append_column(f, pa.nulls(batch.num_rows, f.type))
+            return batch
+        return left.map_batches(null_fill, batch_format="pyarrow",
+                                batch_size=None)
+    return rd.from_arrow(pa.schema(_fields(left) + extra).empty_table())
 
 
 def _encode_list_col(col) -> pa.Array:

@@ -443,6 +443,52 @@ def test_hash_join_pairs_byte_budget_uses_partitioned_join(monkeypatch):
     assert got.num_rows == 3
 
 
+_JOIN_LEFT = pa.table({"k": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
+                       "v": pa.array(list("abcdef"))})
+_JOIN_RIGHT = pa.table({"k": pa.array([2, 4, 6, 8], pa.int64()),
+                        "w": pa.array([0.5, 1.5, 2.5, 3.5])})
+
+
+@pytest.mark.parametrize("layout", ["left_first_empty", "right_first_empty",
+                                    "left_all_empty"])
+@pytest.mark.parametrize("op", ["attach_inner", "attach_left",
+                                "filter_keep", "filter_anti"])
+def test_partitioned_joins_hold_on_empty_blocks(layout, op):
+    """The partitioned ``Dataset.join`` paths of attach_by_key and
+    filter_by_keys give the pandas answer when a side's first block is
+    empty or a side has no rows at all."""
+    from courlan_ray.stages.joins import _collect, attach_by_key, filter_by_keys
+    empty_l, empty_r = _JOIN_LEFT.slice(0, 0), _JOIN_RIGHT.slice(0, 0)
+    left_blocks = {"left_first_empty": [empty_l, _JOIN_LEFT],
+                   "right_first_empty": [_JOIN_LEFT],
+                   "left_all_empty": [empty_l]}[layout]
+    right_blocks = ([empty_r, _JOIN_RIGHT] if layout == "right_first_empty"
+                    else [_JOIN_RIGHT])
+    left = _rd().from_arrow(left_blocks)
+    right = _rd().from_arrow(right_blocks)
+    lp = pa.concat_tables(left_blocks).to_pandas()
+    rp = _JOIN_RIGHT.to_pandas()
+
+    if op.startswith("attach"):
+        how = op.split("_")[1]
+        got = attach_by_key(left, right, ["k"], broadcast_max=0, how=how)
+        want = lp.merge(rp, on="k", how=how)
+    else:
+        keep = op == "filter_keep"
+        got = filter_by_keys(left, right, "k", keep=keep, broadcast_max=0)
+        want = lp[lp["k"].isin(rp["k"]) == keep]
+    got = _collect(got).to_pandas()
+    assert len(got) == len(want)
+    if want.empty:      # a Ray map over an empty block drops its schema
+        return
+    assert sorted(got.columns) == sorted(want.columns)
+    cols = sorted(want.columns)
+    pd.testing.assert_frame_equal(
+        got[cols].sort_values("k").reset_index(drop=True),
+        want[cols].sort_values("k").reset_index(drop=True),
+        check_dtype=False)
+
+
 def test_local_stars_links_members_to_group_min():
     """Every member edge of ``_local_stars`` points at the minimum id of
     its (bucket, salt) group and every rep row carries that group's

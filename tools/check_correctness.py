@@ -3,16 +3,21 @@ entry at a given sf, compare SQL-oracled ones against DuckDB by row count,
 column names, and order-insensitive value hash.  Usage:
 
     python tools/check_correctness.py [sf_dir] [name ...]
+
+Runs from any working directory: the repo root is found from this file
+and put on the path of the driver and of every Ray worker.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
 
@@ -48,14 +53,15 @@ def main():
     import ray
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 logging_level="ERROR")
+                 logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": ROOT}})
     import ray.data as rd
     rd.DataContext.get_current().enable_progress_bars = False
 
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as E
     qs, oracles = E.queries(), E.oracle_sql()
 
