@@ -6,55 +6,14 @@ Public API parity with the reference's exports
 (/root/reference/courlan/__init__.py:35-57) plus the dedup engine.
 """
 
-def _enable_hash_shuffle() -> None:
-    """Switch Ray Data to the hash-shuffle strategy.
-
-    The engine's wide operations (keyed ``repartition(keys=...)`` in the LSH
-    cross-block link, the shuffle path of ``stages.agg.grouped_agg``, and
-    ``Dataset.join``) need hash-based key exchange; Ray 2.49 gates keyed
-    repartitioning behind ``DataContext.shuffle_strategy = HASH_SHUFFLE``.
-    Safe to set eagerly: contexts are per-process and the strategy only
-    changes the physical plan of all-to-all operators."""
-    try:
-        from ray.data.context import DataContext, ShuffleStrategy
-
-        ctx = DataContext.get_current()
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        # defaults are sized for large clusters (parallelism 200, 64
-        # aggregator actors at 1 CPU each) and DEADLOCK a small local
-        # session: aggregators can't schedule and the executor waits
-        # min_hash_shuffle_aggregator_wait_time (300 s).  Cap the implicit
-        # parallelism and make aggregators nearly CPU-free — they are
-        # merge/IO-bound; explicit repartition/join calls still pass their
-        # own partition counts.
-        # 0.025 CPU x partition: a shuffle pool reserves 0.025 x P total
-        # (spread over <=16 aggregator actors).  The flagship DAG runs 2-3
-        # keyed shuffles CONCURRENTLY (LSH bucket link, pair distinct,
-        # components grouped_agg), so pools STACK — with the old 0.05 and
-        # P = 8 x CPUs two pools reserved 3.2 of 4 CPUs and the upstream
-        # 1-CPU map tasks never scheduled (observed live: 84% idle host,
-        # 32 aggregators idling, round 2).  Invariant with 0.025 and the
-        # P <= 4 x CPUs clamp (joins.keyed_shuffle_partitions): 3 pools
-        # reserve <= 0.3 x cluster.
-        ctx.default_hash_shuffle_parallelism = 16
-        ctx.max_hash_shuffle_aggregators = 16
-        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.025
-        ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.025
-    except Exception:           # pragma: no cover - older/newer ray
-        pass
-
-
-_enable_hash_shuffle()
-
-
 def _silence_schema_hash_noise() -> None:
     """Drop Ray's per-task "Failed to hash the schemas (for deduplication)"
     warning: parquet files written via pandas carry a ``b'pandas'`` schema
     metadata blob that makes ``hash(pa.Schema)`` raise inside Ray's
     ``unify_schemas`` early-exit — harmless (it falls through to the full
-    unify) but emitted once per read/aggregator task.  Our own shuffles
-    strip the metadata (joins.keyed_repartition); this filter covers the
-    read tasks Ray fuses before any engine stage runs.  Best-effort: it
+    unify) but emitted once per read/sort task.  Our own keyed exchanges
+    strip the metadata (joins.keyed_map); this filter covers the read
+    tasks Ray fuses before any engine stage runs.  Best-effort: it
     applies in every process that imports courlan_ray (driver + reused
     workers)."""
     import logging
@@ -66,12 +25,12 @@ def _silence_schema_hash_noise() -> None:
     logging.getLogger(
         "ray.data._internal.arrow_ops.transform_pyarrow").addFilter(_F())
 
-    # Executor-side sibling: a map stage downstream of a keyed hash
-    # shuffle passes EMPTY partitions through without invoking the UDF,
-    # producing schema-less RefBundles next to the kernel's typed ones.
-    # Expected whenever distinct keys < shuffle partitions (grouped
-    # quantiles/concat over a handful of groups); the bundles are
-    # genuinely empty, not a schema bug.
+    # Executor-side sibling: a map stage downstream of a keyed exchange
+    # passes EMPTY blocks through without invoking the UDF, producing
+    # schema-less RefBundles next to the kernel's typed ones.  Expected
+    # whenever distinct keys < blocks (grouped quantiles/concat over a
+    # handful of groups); the bundles are genuinely empty, not a schema
+    # bug.
     class _B(logging.Filter):
         def filter(self, record):   # pragma: no cover - log plumbing
             msg = record.getMessage()

@@ -57,7 +57,6 @@ class DedupConfig:
                                            # larger buckets are collision noise
                                            # (e.g. a common phrase), not dups —
                                            # strong MinHash bands are never capped
-    shuffle_partitions: int = 64           # hash-join / co-partition fan-out
 
     # --- connected components ---
     driver_cc_max_pairs: int = 2_000_000   # below: driver union-find; above: distributed
@@ -65,7 +64,7 @@ class DedupConfig:
     # --- size-adaptive small/large switches (execution sizing) ---
     lsh_driver_link_max: int = 1_000_000   # LSH level-2 rep rows: below ->
                                            # driver-local vectorized link;
-                                           # above -> keyed hash-shuffle
+                                           # above -> keyed exchange
                                            # (driver lexsort+take of multi-M
                                            # rows is a 10-25 s serial floor)
     verify_broadcast_max: int = 2_000_000  # signature rows: within this AND

@@ -52,18 +52,6 @@ def check_urls_batch(arr, *, strict: bool = False,
     })
 
 
-def clean_urls_batch(arr, language: str | None = None) -> pa.Table:
-    """(url) -> (url, url_clean, ok) via clean_url."""
-    raw = arr.to_pylist() if hasattr(arr, "to_pylist") else list(arr)
-    out = [U.clean_url(u, language) if isinstance(u, str) else None
-           for u in raw]
-    return pa.table({
-        "url": pa.array([u if isinstance(u, str) else "" for u in raw]),
-        "url_clean": pa.array([o or "" for o in out], pa.string()),
-        "ok": pa.array([o is not None for o in out]),
-    })
-
-
 def host_path_batch(arr) -> pa.Table:
     """(url) -> (hostinfo, path) — the groupby key extractor
     (cf. urlutils.py:83-96)."""

@@ -24,7 +24,7 @@ Design for scale (SURVEY.md §7.3/§7.4 + VERDICT round 1):
   single traversal — cheaper than a second full scan to pre-filter them),
   but they are dropped before LSH so they add no candidate volume.
 - no stage collects the corpus on the driver unconditionally: the LSH
-  cross-block link and pair verification switch to keyed hash-shuffle /
+  cross-block link and pair verification switch to keyed exchanges /
   partitioned joins above configured thresholds.
 """
 
@@ -92,8 +92,7 @@ def dedup_pipeline(ds, cfg: DedupConfig = DEFAULT_CONFIG, *,
     # sigtable already carries exact_key (computed in the signature stage)
     keyed_edges = stage("exact_edges", lambda: exact_dup_edges(valid, cfg))
     survivors = filter_by_keys(valid, keyed_edges,
-                               "image_id", keep=False, keys_col="right_id",
-                               num_partitions=cfg.shuffle_partitions)
+                               "image_id", keep=False, keys_col="right_id")
 
     cands = stage("candidates", lambda: candidate_pairs(survivors, cfg))
     scored = stage("verified_pairs", lambda: verify_pairs(cands, valid, cfg))

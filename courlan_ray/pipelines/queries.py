@@ -32,6 +32,17 @@ from ..sources.readers import read_sf_table as _read
 from . import extras
 
 
+def _sql_round(col, digits: int) -> pa.Array:
+    """DuckDB's ``round(x, digits)``: ``std::round(x * 10^digits) /
+    10^digits``, half away from zero.  Arrow's ``pc.round`` rounds half to
+    even and can differ in the last bit (3415.4500000000003 vs 3415.45)."""
+    scale = 10.0 ** digits
+    v = np.asarray(col.to_numpy(zero_copy_only=False), np.float64) * scale
+    whole = np.floor(np.abs(v))
+    away = np.copysign(whole + (np.abs(v) - whole >= 0.5), v)
+    return pa.array(away / scale, pa.float64())
+
+
 def _norm_expr(col):
     """lower(trim(collapse_ws(x))) — shared Ray-side normal form."""
     s = pc.replace_substring_regex(col, r"\s+", " ")
@@ -135,7 +146,7 @@ def events_counters(sf_dir: str):
 
     def rounder(b: pa.Table) -> pa.Table:
         return b.set_column(b.schema.get_field_index("sum_value"), "sum_value",
-                            pc.round(b["sum_value"], 2))
+                            _sql_round(b["sum_value"], 2))
 
     return grouped_agg(ds, ["event_type"],
                        [("event_type", "count", "n"),
@@ -183,7 +194,7 @@ def events_window(sf_dir: str):
 
     def rounder(b: pa.Table) -> pa.Table:
         return b.set_column(b.schema.get_field_index("sum_value"), "sum_value",
-                            pc.round(b["sum_value"], 2))
+                            _sql_round(b["sum_value"], 2))
 
     from ..stages.agg import grouped_agg
     return grouped_agg(ds.map_batches(day, batch_format="pyarrow"),
@@ -210,9 +221,9 @@ def q1_lineitem(sf_dir: str):
 
     def rounder(b: pa.Table) -> pa.Table:
         b = b.set_column(b.schema.get_field_index("sum_qty"), "sum_qty",
-                         pc.round(b["sum_qty"], 2))
+                         _sql_round(b["sum_qty"], 2))
         return b.set_column(b.schema.get_field_index("sum_rev"), "sum_rev",
-                            pc.round(b["sum_rev"], 2))
+                            _sql_round(b["sum_rev"], 2))
 
     from ..stages.agg import grouped_agg
     return grouped_agg(ds.map_batches(revenue, batch_format="pyarrow"),
@@ -233,7 +244,7 @@ def orders_top_customers(sf_dir: str):
                       [("o_totalprice", "sum", "total")])
     named = attach_by_key(
         tot.map_batches(lambda b: pa.table(
-            {"c_custkey": b["o_custkey"], "total": pc.round(b["total"], 2)}),
+            {"c_custkey": b["o_custkey"], "total": _sql_round(b["total"], 2)}),
             batch_format="pyarrow"),
         cust, ["c_custkey"])
     return named.sort(["total", "c_custkey"], descending=[True, False]).limit(10)
@@ -314,7 +325,8 @@ def emb_label_stats(sf_dir: str):
                          "sq": pa.array((vecs ** 2).sum(axis=1), pa.float64())})
 
     def finish(b: pa.Table) -> pa.Table:
-        avg = pc.round(pc.divide(b["sum_sq"], pc.cast(b["n"], pa.float64())), 4)
+        avg = _sql_round(
+            pc.divide(b["sum_sq"], pc.cast(b["n"], pa.float64())), 4)
         return pa.table({"label": b["label"], "n": b["n"], "avg_sq_norm": avg})
 
     return grouped_agg(ds.map_batches(sq, batch_format="pyarrow"),

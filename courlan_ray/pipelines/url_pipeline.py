@@ -21,11 +21,6 @@ from ..functions import urlbatch
 from ..functions.hashing import hash_strings
 
 
-def read_url_file(path: str):
-    import ray.data as rd
-    return rd.read_text(path)
-
-
 def process_urls(ds, *, strict: bool = False, language: str | None = None,
                  with_nav: bool = False, trailing_slash: bool = True,
                  url_col: str = "text"):

@@ -1,14 +1,15 @@
-"""Associative grouped aggregation: partial-combine tree instead of a raw
-sort shuffle.
+"""Associative grouped aggregation: partial-combine tree instead of a
+keyed exchange.
 
-Ray 2.49's ``groupby().aggregate()`` pays a ~40 s sort-shuffle constant on
-this cluster even for a few hundred thousand rows (measured: 360 k rows
-40 s vs 0.22 s for a single pyarrow ``group_by``).  Every grouped operation
-this engine needs (bucket representative = min, keeper = min, cluster
-size = count, counters = sum, label propagation = min) is ASSOCIATIVE, so
-the scale-correct plan is map-side partial aggregation followed by a
-combine tree (the "pre-aggregate inside map_batches before a small
-groupby" rule, SURVEY.md §4 / ray_guide aggregation section):
+Any keyed exchange has a fixed cost the tree avoids while the key space
+fits one task (2,000 rows in 8 blocks on a 1-vCPU host, Ray at 4 logical
+CPUs: tree 0.29 s; Ray 2.49's hash-shuffle ``groupby().aggregate()`` at
+one partition 1.82 s, as it starts aggregator actors).  Every grouped
+operation this engine needs (bucket representative = min, keeper = min,
+cluster size = count, counters = sum, label propagation = min) is
+ASSOCIATIVE, so the scale-correct plan is map-side partial aggregation
+followed by a combine tree (the "pre-aggregate inside map_batches before
+a small groupby" rule, SURVEY.md §4 / ray_guide aggregation section):
 
   pass 1: pyarrow ``group_by`` per block (C-vectorized)
   pass k: coalesce blocks ``fanout``-to-1 (``repartition`` without
@@ -16,8 +17,9 @@ groupby" rule, SURVEY.md §4 / ray_guide aggregation section):
   final:  one block holds one row per key.
 
 The tree needs the final key cardinality to fit one task; above
-``tree_max_groups`` we fall back to Ray's hash/sort shuffle groupby, which
-is the right topology for 10^9+ distinct keys on a real cluster.
+``tree_max_groups`` we fall back to one keyed exchange
+(``joins.keyed_map``), the right topology for 10^9+ distinct keys on a
+real cluster.
 """
 
 from __future__ import annotations
@@ -103,12 +105,11 @@ def grouped_agg(ds, keys: list[str], specs: list[tuple[str, str, str]], *,
     ``approx_count`` or ``mode="shuffle"`` (the lazy-auto trap,
     VERDICT round 1 #5).
 
-    The shuffle path is map-side partial aggregation + a keyed hash-shuffle
-    ``repartition(P, keys=keys)`` + per-partition final combine — every
-    distinct key lands wholly in one partition, so no single task ever
-    holds more than ~1/P of the key space (the 10^9-distinct-keys-safe
-    topology; requires the HASH_SHUFFLE strategy set in
-    ``courlan_ray/__init__``).
+    The shuffle path is map-side partial aggregation + one keyed exchange
+    (``joins.keyed_map``) + a per-block final combine — every distinct
+    key lands wholly in one block, so no single task ever holds more than
+    ~1/B of the key space for B blocks (the 10^9-distinct-keys-safe
+    topology).
     """
     if mode == "auto":
         mode = resolve_agg_mode(ds, approx_count, tree_max_groups)
@@ -143,18 +144,16 @@ def grouped_agg(ds, keys: list[str], specs: list[tuple[str, str, str]], *,
         return pa.table(cols)
 
     if mode == "shuffle":
-        from .joins import keyed_repartition, keyed_shuffle_partitions
-        parts = keyed_shuffle_partitions(64)
+        from .joins import keyed_map
         pre = ds.map_batches(partial, batch_format="pyarrow",
                              batch_size=None)
-        return keyed_repartition(pre, parts, keys).map_batches(
-            combine, batch_format="pyarrow", batch_size=None)
+        return keyed_map(pre, keys, combine)
 
     return combine_tree(ds, combine, first=partial, fanout=fanout)
 
 
 def grouped_concat(ds, keys: list[str], col: str, *, sep: str = ",",
-                   out_col: str | None = None, num_partitions: int = 64,
+                   out_col: str | None = None,
                    count_col: str | None = None):
     """Order-sensitive group-concat (SQL ``string_agg(col, sep ORDER BY
     col)``): one row per key tuple with the ``sep``-joined, ascending-
@@ -163,9 +162,9 @@ def grouped_concat(ds, keys: list[str], col: str, *, sep: str = ",",
 
     Topology: value order makes map-side pre-aggregation impossible
     (partial strings from different blocks interleave), so this is a
-    straight ONE keyed hash-shuffle on ``keys`` + a per-partition
-    vectorized sort + pandas group-join — every key lands wholly in one
-    partition, exchange volume is the (keys, col) projection.  String
+    straight ONE keyed exchange on ``keys`` (``joins.keyed_map``) + a
+    per-block vectorized sort + pandas group-join — every key lands
+    wholly in one block, exchange volume is the (keys, col) projection.  String
     assembly is inherently object-dtype; everything before it
     (sort, grouping) is columnar.
 
@@ -178,7 +177,7 @@ def grouped_concat(ds, keys: list[str], col: str, *, sep: str = ",",
     import pyarrow.compute as pc
 
     out_col = out_col or f"{col}_list"
-    from .joins import keyed_repartition, keyed_shuffle_partitions
+    from .joins import keyed_map
 
     narrow = ds.select_columns(keys + [col])
 
@@ -197,11 +196,9 @@ def grouped_concat(ds, keys: list[str], col: str, *, sep: str = ",",
         if count_col is not None:
             out[count_col] = g.size().reset_index(drop=True).astype("int64")
         # strip the pandas metadata blob from_pandas attaches — it makes
-        # hash(pa.Schema) raise inside downstream range/hash shuffles
+        # hash(pa.Schema) raise inside downstream exchanges
         return pa.Table.from_pandas(
             out, preserve_index=False).replace_schema_metadata(None)
 
-    parts = keyed_shuffle_partitions(num_partitions)
-    return keyed_repartition(narrow, parts, keys).map_batches(
-        kernel, batch_format="pyarrow", batch_size=None)
+    return keyed_map(narrow, keys, kernel)
 

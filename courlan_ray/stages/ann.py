@@ -320,8 +320,7 @@ def embedding_neardup_pairs(ds, cfg: DedupConfig, *, threshold: float = 0.95,
             pa.table({"left_id": star["vid_min"], "right_id": star["vid"]})])
 
     pairs = bucket_pairs(banded, emit, key="bucket",
-                         driver=banded.count() <= cfg.lsh_driver_link_max,
-                         shuffle_partitions=cfg.shuffle_partitions)
+                         driver=banded.count() <= cfg.lsh_driver_link_max)
 
     # verify with exact cosine: attach each side's vector via the
     # size-adaptive pair<->payload join (broadcast when small, two

@@ -7,20 +7,20 @@ single-shuffle construction:
   1. both sides are projected into one shared envelope schema
      (key, t, side flag, payload columns — the absent side's columns ride
      as nulls) and ``union``ed,
-  2. ONE keyed hash-shuffle ``repartition(P, keys=[by])`` co-locates every
-     key's rows from both sides,
-  3. a per-partition vectorized kernel sorts the right side by (key, t)
+  2. ONE keyed exchange (``joins.keyed_map``) co-locates every key's rows
+     from both sides in one block,
+  3. a per-block vectorized kernel sorts the right side by (key, t)
      once and, per key group, binary-searches all left timestamps into the
      right side (``np.searchsorted`` — no per-row Python).
 
 Partitioning assumption (documented per the north_rule): by default a
-single ``by`` key's rows must fit one partition.  Passing ``chunk_ns``
-(with a ``tolerance_ns`` lookback bound) lifts it: rows shuffle on
+single ``by`` key's rows must fit one block.  Passing ``chunk_ns``
+(with a ``tolerance_ns`` lookback bound) lifts it: rows are keyed on
 (key, time-chunk) with right rows within tolerance of a chunk end
 replicated into the next chunk — the same boundary-replication shape as
 ``stages/window.rolling_window_agg(chunk_ns=...)``; results are exact.
 
-At 10^12-row scale both inputs stream through the shuffle once; the
+At 10^12-row scale both inputs stream through the exchange once; the
 envelope is narrow (key, t, payload), the wide payload columns should be
 projected to what the caller needs before calling.
 """
@@ -92,7 +92,6 @@ def asof_join(left_ds, right_ds, *, on: str, by: str,
               left_cols: list[str], right_cols: list[str],
               strict: bool = True, right_suffix: str = "_r",
               tolerance_ns: int | None = None,
-              num_partitions: int = 64,
               chunk_ns: int | None = None,
               approx_rows: int | None = None,
               driver_max: int = 1_000_000):
@@ -123,7 +122,7 @@ def asof_join(left_ds, right_ds, *, on: str, by: str,
     is skipped and the same kernel runs once driver-side (the AllToAll
     launch dwarfs the vectorized kernel at small row counts); undeclared
     or large inputs stream through the shuffle unchanged."""
-    from .joins import keyed_repartition, keyed_shuffle_partitions
+    from .joins import keyed_map
 
     if chunk_ns is not None:
         if tolerance_ns is None:
@@ -266,7 +265,4 @@ def asof_join(left_ds, right_ds, *, on: str, by: str,
         tbl = _collect(env)
         if tbl.num_columns:       # schema-less empty: fall through to the
             return rd.from_arrow(kernel(tbl))  # shuffle path's empty blocks
-    parts = keyed_shuffle_partitions(num_partitions)
-    shuffle_keys = [by, "__chunk"] if chunked else [by]
-    return (keyed_repartition(env, parts, shuffle_keys)
-               .map_batches(kernel, batch_format="pyarrow", batch_size=None))
+    return keyed_map(env, [by, "__chunk"] if chunked else [by], kernel)

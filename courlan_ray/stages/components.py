@@ -110,8 +110,7 @@ def distributed_components(edges_ds, cfg: DedupConfig,
             lambda b: pa.table({"label": b["image_id"],
                                 "parent": b["label"]}),
             batch_format="pyarrow")
-        j = attach_by_key(labels, parents, ["label"],
-                          num_partitions=cfg.shuffle_partitions, how="left")
+        j = attach_by_key(labels, parents, ["label"], how="left")
         return j.map_batches(
             lambda b: pa.table({
                 "image_id": b["image_id"],
@@ -131,12 +130,11 @@ def distributed_components(edges_ds, cfg: DedupConfig,
         # flows to the node (min-propagation) AND to the node's label
         # (hooking, as in Shiloach-Vishkin).  Only the node's own row
         # fills ``own``, so it keeps the old label.
-        prop = attach_by_key(sym, labels, ["image_id"],
-                             num_partitions=cfg.shuffle_partitions)
+        prop = attach_by_key(sym, labels, ["image_id"])
         prop = attach_by_key(
             prop, labels.rename_columns({"image_id": "nbr",
                                          "label": "nbr_label"}),
-            ["nbr"], num_partitions=cfg.shuffle_partitions)
+            ["nbr"])
         cand = prop.map_batches(
             lambda b: pa.table({
                 "image_id": pa.concat_arrays(
@@ -178,8 +176,7 @@ def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
         sizes = grouped_agg(comp, ["cluster_id"],
                             [("image_id", "count", "cluster_size")],
                             approx_count=2 * n_edges)
-        comp = attach_by_key(comp, sizes, ["cluster_id"],
-                             num_partitions=cfg.shuffle_partitions)
+        comp = attach_by_key(comp, sizes, ["cluster_id"])
     else:
         comp_df = driver_union_find(_collect(edges_ds).to_pandas()) \
             if n_edges else pd.DataFrame({"image_id": [], "cluster_id": []})
@@ -214,6 +211,5 @@ def assign_clusters(all_ids_ds, components_ds, cfg: DedupConfig):
                          "cluster_size": size,
                          "is_representative": pc.equal(own, cid)})
 
-    out = attach_by_key(all_ids_ds, components_ds, ["image_id"],
-                        num_partitions=cfg.shuffle_partitions, how="left")
+    out = attach_by_key(all_ids_ds, components_ds, ["image_id"], how="left")
     return out.map_batches(fill, batch_format="pyarrow")

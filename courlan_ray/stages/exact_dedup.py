@@ -72,11 +72,11 @@ def exact_dup_edges(keyed_ds, cfg: DedupConfig, id_col: str = "image_id"):
     """(left_id=keeper, right_id=dropped) edges from the narrow projection.
 
     Size-adaptive: a small narrow table is linked in one vectorized driver
-    pass; at scale a keyed hash-shuffle ``repartition`` lands every
-    ``exact_key`` wholly in one partition and the same block kernel runs
-    per partition — no driver materialization."""
+    pass; at scale one keyed exchange (``joins.keyed_map``) lands every
+    ``exact_key`` wholly in one block and the same block kernel runs per
+    block — no driver materialization."""
     import ray.data as rd
-    from .joins import _collect, keyed_shuffle_partitions
+    from .joins import _collect, keyed_map
 
     schema = keyed_ds.schema()
     if schema is None or "exact_key" not in schema.names:
@@ -85,11 +85,8 @@ def exact_dup_edges(keyed_ds, cfg: DedupConfig, id_col: str = "image_id"):
     if narrow.count() <= cfg.verify_broadcast_max:
         return rd.from_arrow(
             _edges_from_block(_collect(narrow), "exact_key", id_col))
-    return (narrow
-            .repartition(keyed_shuffle_partitions(cfg.shuffle_partitions),
-                         keys=["exact_key"])
-            .map_batches(lambda b: _edges_from_block(b, "exact_key", id_col),
-                         batch_format="pyarrow", batch_size=None))
+    return keyed_map(narrow, ["exact_key"],
+                     lambda b: _edges_from_block(b, "exact_key", id_col))
 
 
 def exact_dedup(ds, cfg: DedupConfig, id_col: str = "image_id"):
@@ -104,6 +101,5 @@ def exact_dedup(ds, cfg: DedupConfig, id_col: str = "image_id"):
         else add_exact_key(ds, cfg)
     edges = exact_dup_edges(keyed, cfg, id_col)
     survivors = filter_by_keys(keyed, edges, id_col, keep=False,
-                               keys_col="right_id",
-                               num_partitions=cfg.shuffle_partitions)
+                               keys_col="right_id")
     return survivors, edges

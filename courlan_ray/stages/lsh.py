@@ -23,10 +23,9 @@ tree:
   level 2 (cross-block link, size-adaptive): rep rows are linked across
      blocks and salts per bucket — below ``cfg.lsh_driver_link_max`` rows
      on the driver (vectorized pyarrow group_by, one arrow table), above it
-     via a keyed hash-shuffle ``repartition(P, keys=["bucket"])`` so each
-     bucket lands wholly in one partition and is linked by a vectorized
-     per-partition pass (the multi-node scale path; requires the
-     HASH_SHUFFLE strategy enabled in ``courlan_ray/__init__``).
+     through one keyed exchange (``joins.keyed_map``, a task-based sort)
+     that lands each bucket wholly in one block, linked by a vectorized
+     per-block pass (the multi-node scale path).
 
 A star per bucket emits |bucket| edges instead of |bucket|^2 pairs;
 transitive closure in the components stage recovers full clusters, and
@@ -41,7 +40,7 @@ contribute no edges.  Strong MinHash bands are never capped.
 ``bucket_pairs`` is the candidate-pair engine behind level 2, shared with
 every other pair stage (``simhash_pairs``, ``ngram_jaccard``,
 ``substring``, ``ann``): postings -> per-bucket ``emit`` on the driver or
-behind one keyed shuffle -> an exact distinct on (left_id, right_id) with
+behind one keyed exchange -> an exact distinct on (left_id, right_id) with
 a per-pair count.  Each stage supplies only its postings and its
 ``emit``; ``all_pairs`` is the shared all-pairs emit.
 """
@@ -193,7 +192,7 @@ def _local_stars(b: pa.Table, cfg: DedupConfig) -> pa.Table:
 
 def _link_all(tbl: pa.Table, cap: int) -> pa.Table:
     """Level 2, fused: given ALL st1 rows of some set of buckets (each
-    bucket wholly present — guaranteed by the keyed shuffle or by driver
+    bucket wholly present — guaranteed by the keyed exchange or by driver
     collection), emit the final canonical candidate edges:
 
       - noisy-bucket suppression: per-bucket totals from rep counts; weak
@@ -306,8 +305,7 @@ def all_pairs(tbl: pa.Table, key: str, id_col: str,
                      "right_id": pa.array(ri, ids.type)})
 
 
-def bucket_pairs(postings, emit, *, key: str, driver: bool,
-                 shuffle_partitions: int):
+def bucket_pairs(postings, emit, *, key: str, driver: bool):
     """The candidate-pair engine every pair stage shares: (``key``, id)
     postings -> distinct (left_id, right_id, n), left_id < right_id by
     value, n = how many emitted rows named the pair.
@@ -321,8 +319,8 @@ def bucket_pairs(postings, emit, *, key: str, driver: bool,
       (at least 8192 rows each) so the verify step fans out without its
       own repartition — tiny tables stay one block and verify skips the
       fan-out entirely;
-    - scale: ONE keyed hash-shuffle ``repartition(P, keys=[key])``
-      co-locates every bucket, ``emit`` runs per partition, and
+    - scale: ONE keyed exchange (``joins.keyed_map``) co-locates every
+      bucket, ``emit`` runs per block, and
       ``grouped_agg`` counts pairs, routed by the materialized pair-row
       count (an upper bound on distinct pairs).
 
@@ -331,8 +329,7 @@ def bucket_pairs(postings, emit, *, key: str, driver: bool,
     known downstream."""
     import ray.data as rd
     from .agg import grouped_agg
-    from .joins import (_collect, cluster_cpus, keyed_repartition,
-                        keyed_shuffle_partitions)
+    from .joins import _collect, cluster_cpus, keyed_map
 
     def canonical(tbl: pa.Table) -> pa.Table:
         pairs = emit(tbl)
@@ -352,13 +349,7 @@ def bucket_pairs(postings, emit, *, key: str, driver: bool,
         return rd.from_arrow([out.slice(i, chunk)
                               for i in range(0, max(out.num_rows, 1), chunk)])
 
-    # P = CPUs: joins.keyed_shuffle_partitions has the measurement and the
-    # concurrent-pool deadlock guard
-    parts = keyed_shuffle_partitions(shuffle_partitions)
-    emitted = (keyed_repartition(postings, parts, [key])
-               .map_batches(canonical, batch_format="pyarrow",
-                            batch_size=None)
-               .materialize())
+    emitted = keyed_map(postings, [key], canonical).materialize()
     return grouped_agg(emitted, ["left_id", "right_id"],
                        [("left_id", "count", "n")]).materialize()
 
@@ -371,11 +362,10 @@ def candidate_pairs(sig_ds, cfg: DedupConfig):
     be the (narrow) signature table; callers filter invalid / exact-dup rows
     first.  Level 2 runs in ``bucket_pairs`` with ``_link_all`` as its
     emit: on the driver up to ``cfg.lsh_driver_link_max`` level-1 rows,
-    through the keyed shuffle above."""
+    through the keyed exchange above."""
     st1 = sig_ds.map_batches(lambda b: _local_stars(b, cfg),
                              batch_format="pyarrow",
                              batch_size=cfg.batch_size).materialize()
     cap = cfg.weak_bucket_cap
     return bucket_pairs(st1, lambda t: _link_all(t, cap), key="bucket",
-                        driver=st1.count() <= cfg.lsh_driver_link_max,
-                        shuffle_partitions=cfg.shuffle_partitions)
+                        driver=st1.count() <= cfg.lsh_driver_link_max)

@@ -22,7 +22,7 @@ Scale shape (the 100 TB path):
   - postings: narrow (gram:int64, doc, set size) rows, ~p per doc.
   - candidates: ``lsh.bucket_pairs`` with the length-filtered all-pairs
     emit — one driver pass up to ``driver_max`` docs, ONE keyed
-    hash-shuffle on gram above — and an exact (left_id, right_id)
+    exchange on gram above — and an exact (left_id, right_id)
     distinct.
   - verify: pair table joined back to gram arrays via the size-adaptive
     ``hash_join_pairs`` (broadcast below 2M docs, partitioned joins above),
@@ -138,8 +138,7 @@ def _list_to_arrays(col) -> list[np.ndarray]:
 
 def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
                         id_col: str = "doc_id", text_col: str = "text",
-                        seed: int = 29, driver_max: int = 100_000,
-                        shuffle_partitions: int = 64):
+                        seed: int = 29, driver_max: int = 100_000):
     """Dataset -> exact near-dup pair table (left_id, right_id, jaccard),
     every unordered pair with word-``n``-gram Jaccard >= ``threshold``,
     sorted by (left_id, right_id).  See module docstring for the scale
@@ -182,8 +181,7 @@ def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
     pairs = bucket_pairs(
         sig.map_batches(postings_kernel, batch_format="pyarrow"),
         lambda t: all_pairs(t, "gram", "id", "n_grams", threshold),
-        key="gram", driver=sig.count() <= driver_max,
-        shuffle_partitions=shuffle_partitions)
+        key="gram", driver=sig.count() <= driver_max)
     joined = hash_join_pairs(pairs, sig, id_col=id_col,
                              payload_cols=["grams", "n_grams"])
 

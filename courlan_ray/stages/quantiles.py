@@ -101,15 +101,14 @@ def exact_quantiles(ds, col: str, qs: list[float], *, bins: int = 4096):
                      "value": pa.array(out_vals, pa.float64())})
 
 
-def grouped_quantiles(ds, keys: list[str], col: str, qs: list[float], *,
-                      num_partitions: int = 64):
+def grouped_quantiles(ds, keys: list[str], col: str, qs: list[float]):
     """Exact per-GROUP quantiles (type-1 / ``quantile_disc`` semantics):
-    ONE keyed hash-shuffle on ``keys`` + a per-partition vectorized kernel
-    (group-major sort, then rank selection on group offset arrays — no
-    per-group Python loop).  Every key lands wholly in one partition, so
-    it is exact at any group count; a single group must fit one partition
-    (the usual keyed-shuffle contract — for one giant group use the
-    global ``exact_quantiles`` histogram plan instead).
+    ONE keyed exchange on ``keys`` (``joins.keyed_map``) + a per-block
+    vectorized kernel (group-major sort, then rank selection on group
+    offset arrays — no per-group Python loop).  Every key lands wholly in
+    one block, so it is exact at any group count; a single group must fit
+    one block (the usual keyed-exchange contract — for one giant group use
+    the global ``exact_quantiles`` histogram plan instead).
 
     NULL values are ignored within each group and an all-NULL group
     yields NULL values — exactly SQL's aggregate-null semantics, so the
@@ -119,7 +118,7 @@ def grouped_quantiles(ds, keys: list[str], col: str, qs: list[float], *,
     Returns keys + (q:float64, value:float64), one row per group per q."""
     import pyarrow.compute as pc
 
-    from .joins import keyed_repartition, keyed_shuffle_partitions
+    from .joins import keyed_map
 
     narrow = ds.select_columns(keys + [col])
     qarr = np.asarray(sorted(qs), dtype=np.float64)
@@ -166,6 +165,4 @@ def grouped_quantiles(ds, keys: list[str], col: str, qs: list[float], *,
                                  mask=null_out if null_out.any() else None)
         return pa.table(cols)
 
-    parts = keyed_shuffle_partitions(num_partitions)
-    return keyed_repartition(narrow, parts, keys).map_batches(
-        kernel, batch_format="pyarrow", batch_size=None)
+    return keyed_map(narrow, keys, kernel)

@@ -60,13 +60,6 @@ def _pixel_features(arr: np.ndarray) -> np.ndarray:
     return g.reshape(8, 4, 8, 4).mean(axis=(1, 3)).ravel()
 
 
-def pixel_simhash64(arr: np.ndarray) -> int:
-    """64-bit pixel SimHash: block-mean luma vs global mean."""
-    feats = _pixel_features(arr)
-    bits = (feats > feats.mean()).astype(np.uint8)
-    return int(np.packbits(bits, bitorder="little").view("<u8")[0])
-
-
 def _pack_bits64(bits: np.ndarray) -> np.ndarray:
     """(m, 64) bool/uint8 -> (m,) uint64, little bit order."""
     return np.packbits(bits.astype(np.uint8), axis=1,

@@ -25,7 +25,7 @@ Scale shape (the 100 TB path):
     sort+unique, no Python per row.
   - postings: narrow (gram:int64, doc_id) rows through ``lsh.bucket_pairs``
     with the all-pairs emit — one driver pass up to ``driver_max`` docs,
-    ONE keyed hash-shuffle on gram above.  Each shared gram lies wholly in
+    ONE keyed exchange on gram above.  Each shared gram lies wholly in
     one bucket and emits one row per pair, so the engine's exact per-pair
     count IS the shared-gram count.
 
@@ -127,7 +127,6 @@ def _hot_lineage(postings, cap: int, lineage: dict) -> None:
 def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
                     text_col: str = "text", seed: int = 37,
                     driver_max: int = 100_000,
-                    shuffle_partitions: int = 64,
                     hot_gram_max: int | None = None,
                     lineage: dict | None = None):
     """Dataset -> exact shared-substring pair table
@@ -184,8 +183,7 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
         postings = postings.materialize()
         _hot_lineage(postings, hot_gram_max, lineage)
     pairs = bucket_pairs(postings, emit, key="gram",
-                         driver=n_docs <= driver_max,
-                         shuffle_partitions=shuffle_partitions)
+                         driver=n_docs <= driver_max)
     return pairs.rename_columns({"n": "shared_grams"}) \
                 .sort(["left_id", "right_id"])
 
@@ -193,7 +191,6 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
 def substring_lcs(ds, *, width: int = 32, id_col: str = "doc_id",
                   text_col: str = "text", seed: int = 37,
                   driver_max: int = 100_000,
-                  shuffle_partitions: int = 64,
                   hot_gram_max: int | None = None,
                   lineage: dict | None = None):
     """Dataset -> (left_id, right_id, lcs_len) for every pair sharing an
@@ -209,7 +206,6 @@ def substring_lcs(ds, *, width: int = 32, id_col: str = "doc_id",
     pairs = substring_pairs(ds, width=width, id_col=id_col,
                             text_col=text_col, seed=seed,
                             driver_max=driver_max,
-                            shuffle_partitions=shuffle_partitions,
                             hot_gram_max=hot_gram_max, lineage=lineage
                             ).drop_columns(["shared_grams"]).materialize()
     if pairs.count() == 0:

@@ -55,8 +55,9 @@ def topk_per_group(ds, group_keys: list[str],
     same partial/combine shape: each block keeps its local top-k per group
     (one group-major vectorized sort + segmented rank, no per-group loop),
     then either a fanout combine tree (small group count) or ONE keyed
-    hash-shuffle on ``group_keys`` + a final per-partition pass (every
-    group lands wholly in one partition — the 10^9-groups topology).
+    exchange on ``group_keys`` (``joins.keyed_map``) + a final per-block
+    pass (every group lands wholly in one block — the 10^9-groups
+    topology).
     Routing follows the declared-cardinality contract of
     ``stages/agg.resolve_agg_mode``: declare ``approx_groups`` at scale.
 
@@ -101,12 +102,10 @@ def topk_per_group(ds, group_keys: list[str],
     if mode == "auto":
         mode = resolve_agg_mode(ds, approx_groups)
     if mode == "shuffle":
-        from .joins import keyed_repartition, keyed_shuffle_partitions
+        from .joins import keyed_map
         pre = ds.map_batches(local, batch_format="pyarrow",
                              batch_size=None)
-        return keyed_repartition(pre, keyed_shuffle_partitions(64),
-                                 group_keys).map_batches(
-            local, batch_format="pyarrow", batch_size=None)
+        return keyed_map(pre, group_keys, local)
 
     from .agg import combine_tree
     return combine_tree(ds, local, fanout=fanout)

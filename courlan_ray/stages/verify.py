@@ -2,7 +2,7 @@
 
 Attaches the (narrow) signature table to both sides of each candidate
 pair with ``stages.joins.hash_join_pairs`` — a broadcast probe when the
-signature side is small, two partitioned hash joins at scale (SURVEY.md
+signature side is small, two partitioned sort-merge joins at scale (SURVEY.md
 §2.5; the size switch is ``cfg.verify_broadcast_max``) — then verifies
 each pair with vectorized kernels:
 
@@ -218,14 +218,14 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
 
     Signatures attach to both pair sides via ``hash_join_pairs``: a
     broadcast probe up to ``cfg.verify_broadcast_max`` signature rows and
-    ``joins.BROADCAST_MAX_BYTES``, two partitioned hash joins above either
-    (no driver materialization)."""
+    ``joins.BROADCAST_MAX_BYTES``, two partitioned sort-merge joins above
+    either (no driver materialization)."""
     from ray.data.dataset import MaterializedDataset
     from .joins import cluster_cpus, hash_join_pairs, sliced
 
     # re-split the candidate output so the verify stage fans out across the
-    # cluster — skipped when the input is already well-partitioned (the
-    # keyed-shuffle distinct emits shuffle_partitions blocks)
+    # cluster — skipped when the input already has enough blocks (the
+    # keyed distinct of the scale path keeps its input's block count)
     fanout = max(8, cluster_cpus() * 2)
     is_mat = isinstance(pairs_ds, MaterializedDataset)
     nb = pairs_ds.num_blocks() if is_mat else 0
@@ -240,7 +240,6 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
     attached = hash_join_pairs(
         pairs_ds, sig_ds.select_columns(["image_id"] + cols),
         id_col="image_id", payload_cols=cols,
-        num_partitions=cfg.shuffle_partitions,
         broadcast_max=cfg.verify_broadcast_max)
 
     def kernel(batch: pa.Table) -> pa.Table:

@@ -5,17 +5,17 @@ PRECEDING AND CURRENT ROW)`` — the streaming-window operator Ray Data
 lacks (its groupby windows are tumbling only via key truncation, cf.
 pipelines/queries.events_window).
 
-Shape: ONE keyed hash-shuffle ``repartition(P, keys=...)`` co-locates
-each key, then a per-partition vectorized kernel sorts by (key, t) once
+Shape: ONE keyed exchange (``joins.keyed_map``) co-locates each key in
+one block, then a per-block vectorized kernel sorts by (key, t) once
 and computes every row's window with prefix sums + one ``searchsorted``
-per key group (O(n log n) per partition, no per-row Python).
+per key group (O(n log n) per block, no per-row Python).
 
-Hot keys: by default one key's rows must fit a partition (same
+Hot keys: by default one key's rows must fit a block (same
 assumption as stages/asof.py).  Passing ``chunk_ns >= width_ns`` lifts
 it — rows are split into time chunks of ``chunk_ns``, rows within
 ``width_ns`` of a chunk's end are REPLICATED into the next chunk (they
-can fall inside next-chunk windows), and the shuffle key becomes
-(key, chunk), so a hot key spreads over ceil(span/chunk_ns) partitions.
+can fall inside next-chunk windows), and the exchange key becomes
+(key, chunk), so a hot key spreads over ceil(span/chunk_ns) blocks.
 Replicas contribute to sums but are not emitted; totals are exact.
 """
 
@@ -82,7 +82,6 @@ def _window_bounds(tss: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
 def rolling_window_agg(ds, *, on: str, by: str, value_col: str,
                        width_ns: int, keep_cols: list[str] | None = None,
-                       num_partitions: int = 64,
                        chunk_ns: int | None = None,
                        approx_rows: int | None = None,
                        driver_max: int = 1_000_000):
@@ -101,7 +100,7 @@ def rolling_window_agg(ds, *, on: str, by: str, value_col: str,
     AllToAll launch (~1-3 s) dwarfs the vectorized kernel (~10 ms for
     100k rows).  Undeclared or large inputs stream through the shuffle
     unchanged."""
-    from .joins import keyed_repartition, keyed_shuffle_partitions, safe_combine
+    from .joins import keyed_map, safe_combine
 
     if chunk_ns is not None and chunk_ns < width_ns:
         raise ValueError("chunk_ns must be >= width_ns (a window may span "
@@ -185,15 +184,11 @@ def rolling_window_agg(ds, *, on: str, by: str, value_col: str,
         tbl = _collect(pre)
         if tbl.num_columns:       # schema-less empty -> shuffle path
             return rd.from_arrow(kernel(tbl))
-    parts = keyed_shuffle_partitions(num_partitions)
-    env = keyed_repartition(pre, parts,
-                            [by, "__chunk"] if chunked else [by])
-    return env.map_batches(kernel, batch_format="pyarrow", batch_size=None)
+    return keyed_map(pre, [by, "__chunk"] if chunked else [by], kernel)
 
 
 def sessionize(ds, *, on: str, by: str, gap_ns: int,
                keep_cols: list[str] | None = None,
-               num_partitions: int = 64,
                approx_rows: int | None = None,
                driver_max: int = 1_000_000):
     """Gap-based sessionization: per key (ordered by t), a new session
@@ -202,7 +197,7 @@ def sessionize(ds, *, on: str, by: str, gap_ns: int,
     + ``session_id`` (key-qualified string).  Same single-keyed-shuffle
     shape, partitioning assumption, and declared-size driver
     short-circuit (``approx_rows``) as ``rolling_window_agg``."""
-    from .joins import keyed_repartition, keyed_shuffle_partitions, safe_combine
+    from .joins import keyed_map, safe_combine
 
     keep = keep_cols or []
 
@@ -247,6 +242,4 @@ def sessionize(ds, *, on: str, by: str, gap_ns: int,
         tbl = _collect(ds)
         if tbl.num_columns:       # schema-less empty -> shuffle path
             return rd.from_arrow(kernel(tbl))
-    parts = keyed_shuffle_partitions(num_partitions)
-    return (keyed_repartition(ds, parts, [by])
-              .map_batches(kernel, batch_format="pyarrow", batch_size=None))
+    return keyed_map(ds, [by], kernel)

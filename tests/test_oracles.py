@@ -41,10 +41,6 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 _ORACLED = sorted(ORACLES)
-# Arrow's round(x, 2) and DuckDB's round() can differ in the last bit
-# (3415.4500000000003 vs 3415.45); these two are compared at the driver's
-# 6-decimal precision, every other query bit for bit.
-_ROUND2_LAST_BIT = {"events_window", "orders_top_customers"}
 
 
 @pytest.mark.parametrize("name", _ORACLED)
@@ -54,12 +50,8 @@ def test_extra_oracle_matches(name):
     ora_df = _canon(_oracle_df(ORACLES[name]))
     assert len(ray_df) == len(ora_df), f"{name}: row count"
     assert list(ray_df.columns) == list(ora_df.columns), f"{name}: schema"
-    if name in _ROUND2_LAST_BIT:
-        pd.testing.assert_frame_equal(ray_df, ora_df, check_dtype=False,
-                                      check_exact=False, rtol=0, atol=1e-6)
-    else:
-        pd.testing.assert_frame_equal(ray_df, ora_df, check_dtype=False,
-                                      check_exact=True)
+    pd.testing.assert_frame_equal(ray_df, ora_df, check_dtype=False,
+                                  check_exact=True)
 
 
 def test_driver_window_is_oracled_or_cluster_pipeline():

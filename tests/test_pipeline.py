@@ -91,14 +91,14 @@ def test_recall_at_fixtures_scale(tmp_path_factory):
 
 
 def test_forced_scale_paths_small_cluster(synth_path):
-    """Regression for the round-2 executor stall: force EVERY size-adaptive
-    stage onto its keyed-shuffle scale path simultaneously (exact-dedup
-    shuffle, LSH cross-block link, joined verify, distributed components)
-    so the maximum number of hash-shuffle aggregator pools is live at once
-    on the 4-CPU test cluster.  Stacked pool CPU reservations twice starved
-    the upstream 1-CPU map tasks (84%-idle livelock); the budget invariant
-    lives in joins.keyed_shuffle_partitions + courlan_ray.__init__.
-    Completing at all — with unchanged recall — is the assertion."""
+    """Force EVERY size-adaptive stage onto its scale path at once
+    (exact-dedup exchange, LSH cross-block link, partitioned verify join,
+    distributed components) on the 4-CPU test cluster.  The keyed
+    exchanges were once hash shuffles whose stacked aggregator-pool CPU
+    reservations starved the upstream map tasks (an 84%-idle livelock);
+    they are task-based sorts now (``joins.keyed_map``), which reserve
+    nothing between tasks.  Completing at all — with unchanged recall —
+    is the assertion."""
     import ray.data as rd
     cfg = DedupConfig(lsh_driver_link_max=0,
                       verify_broadcast_max=0,

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from courlan_ray.config import DedupConfig
@@ -76,7 +77,7 @@ def test_distributed_components_matches_union_find():
     # across many rounds before the fixpoint test may stop the loop
     path = [f"p{i:03d}" for i in rng.permutation(300)]
     path_edges = pd.DataFrame({"left_id": path[:-1], "right_id": path[1:]})
-    cfg = DedupConfig(shuffle_partitions=4)
+    cfg = DedupConfig()
     for edges in (random_edges.reset_index(drop=True), path_edges):
         want = driver_union_find(edges).sort_values("image_id") \
             .reset_index(drop=True)
@@ -487,6 +488,108 @@ def test_partitioned_joins_hold_on_empty_blocks(layout, op):
         got[cols].sort_values("k").reset_index(drop=True),
         want[cols].sort_values("k").reset_index(drop=True),
         check_dtype=False)
+
+
+@pytest.mark.parametrize("kind", ["int64", "string"])
+def test_keyed_map_keeps_each_key_in_one_block(kind):
+    """``keyed_map`` hands its kernel every row of a key in one block: over
+    many input blocks, with a hot key larger than
+    ``target_max_block_size``, null keys, and more blocks than keys (some
+    output blocks are empty)."""
+    import ray
+    from courlan_ray.stages.joins import keyed_map
+    ctx = _rd().DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 64 << 10
+    try:
+        rng = np.random.default_rng(11)
+        n = 40_000
+        raw = np.where(rng.random(n) < 0.6, 7, rng.integers(0, 50, n))
+        keys = pa.array(raw, pa.int64()) if kind == "int64" \
+            else pa.array([f"key-{v}" for v in raw])
+        keys = pc.if_else(pa.array(rng.random(n) < 0.01), None, keys)
+        tbl = pa.table({"k": keys, "v": pa.array(np.arange(n))})
+        ds = _rd().from_arrow([tbl.slice(i, 1000) for i in range(0, n, 1000)])
+
+        def summary(b: pa.Table) -> pa.Table:
+            return pa.table({"k": b["k"].unique()})
+
+        out = keyed_map(ds, ["k"], summary).materialize()
+        got = pa.concat_tables(
+            t for t in ray.get(out.to_arrow_refs()) if t.num_rows)
+        counts = pd.Series(got["k"].to_pylist()).value_counts(dropna=False)
+        assert (counts == 1).all()          # no key in two blocks
+        assert set(got["k"].to_pylist()) == set(keys.to_pylist())
+        hot = 7 if kind == "int64" else "key-7"
+        assert int(pc.sum(pc.equal(keys, hot)).as_py()) * 8 > 64 << 10
+
+        # more input blocks than keys: empty blocks come out schema-less
+        few = _rd().from_arrow([tbl.slice(i, 2).select(["v"]).append_column(
+            "k", pa.array([i % 3] * 2, pa.int64())) for i in range(0, 40, 2)])
+        out = keyed_map(few, ["k"], summary).materialize()
+        assert sorted(out.to_pandas()["k"]) == [0, 1, 2]
+    finally:
+        ctx.target_max_block_size = old
+
+
+_MERGE_LEFT = pd.DataFrame({
+    "k": [1, 2, 2, 3, None, 5, 9, 9, 9, 9],
+    "a": list("abcdefghij")})
+_MERGE_RIGHT = pd.DataFrame({
+    "k": [2, 2, 3, None, 9, 8],
+    "w": [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]})
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+def test_sort_merge_join_matches_pandas_merge(how):
+    """``_join`` gives ``pandas.merge``'s rows: left columns then the
+    right non-key columns, a repeated right key once per copy, a hot key,
+    fixed-size and variable list payloads kept as typed, and a null key
+    matching nothing."""
+    import ray
+    from courlan_ray.stages.joins import _join
+    left = pa.table({"k": pa.array(_MERGE_LEFT["k"], pa.int64(),
+                                   from_pandas=True),
+                     "a": pa.array(_MERGE_LEFT["a"])})
+    nr = len(_MERGE_RIGHT)
+    fixed = pa.FixedSizeListArray.from_arrays(
+        pa.array(np.arange(3 * nr), pa.int32()), 3)
+    var = pa.array([[i] * (i % 3) for i in range(nr)], pa.list_(pa.int64()))
+    right = pa.table({"key": pa.array(_MERGE_RIGHT["k"], pa.int64(),
+                                      from_pandas=True),
+                      "w": pa.array(_MERGE_RIGHT["w"]),
+                      "fixed": fixed, "var": var})
+    out = _join(_rd().from_arrow([left.slice(0, 4), left.slice(4)]),
+                _rd().from_arrow([right.slice(0, 3), right.slice(3)]),
+                how, on=("k",), right_on=("key",)).materialize()
+    got = pa.concat_tables(
+        t for t in ray.get(out.to_arrow_refs()) if t.num_rows)
+    assert got.schema == pa.schema(
+        [left.schema.field("k"), left.schema.field("a"),
+         right.schema.field("w"), right.schema.field("fixed"),
+         right.schema.field("var")])
+
+    rp = right.to_pandas().rename(columns={"key": "k"})
+    rp["fixed"] = rp["fixed"].map(list)
+    rp["var"] = rp["var"].map(list)
+    valid = rp[rp["k"].notna()]             # SQL: a null key matches nothing
+    want = _MERGE_LEFT.merge(valid, on="k",
+                             how="inner" if how == "inner" else "left")
+
+    def rows(df):
+        return sorted(((None if pd.isna(r.k) else int(r.k), r.a,
+                        None if pd.isna(r.w) else float(r.w),
+                        None if not isinstance(r.fixed, list) else
+                        [int(x) for x in r.fixed],
+                        None if not isinstance(r.var, list) else
+                        [int(x) for x in r.var])
+                       for r in df.itertuples()), key=repr)
+
+    g = got.to_pandas()
+    for c in ("fixed", "var"):
+        g[c] = g[c].map(lambda v: list(v) if v is not None else None)
+    assert rows(g) == rows(want)
+    assert len(want) == (9 if how == "inner" else 12)
 
 
 def test_local_stars_links_members_to_group_min():
