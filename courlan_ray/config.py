@@ -61,14 +61,15 @@ class DedupConfig:
     # --- connected components ---
     driver_cc_max_pairs: int = 2_000_000   # below: driver union-find; above: distributed
 
-    # --- size-adaptive small/large switches (execution sizing) ---
+    # --- row caps of one-place sides, on top of joins.fits_one_task's
+    # byte budget (0 forces the keyed-exchange side) ---
     lsh_driver_link_max: int = 1_000_000   # LSH level-2 rep rows: below ->
                                            # driver-local vectorized link;
                                            # above -> keyed exchange
                                            # (driver lexsort+take of multi-M
                                            # rows is a 10-25 s serial floor)
     verify_broadcast_max: int = 2_000_000  # signature rows: within this AND
-                                           # joins.BROADCAST_MAX_BYTES ->
+                                           # joins.SMALL_BYTES ->
                                            # broadcast exact-id probe; above
                                            # -> partitioned pair<->signature
                                            # join (both: joins.hash_join_pairs)

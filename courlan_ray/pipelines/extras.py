@@ -23,6 +23,7 @@ import pyarrow as pa
 
 from ..config import DedupConfig
 from ..sources.readers import read_sf_table as _read
+from ..stages.joins import exchanges_only
 
 _SF_ROWS = {"0.001": 2000, "0.01": 6000, "0.1": 20000}
 
@@ -38,13 +39,6 @@ def _sf_of(sf_dir: str) -> str:
         if sf_dir.rstrip("/").endswith("sf" + k):
             return k
     return "0.001"
-
-
-def _nrows(sf_dir: str, name: str) -> int:
-    """Row count from the parquet FOOTER only (metadata read, no scan) —
-    the declared-size input for the window/asof driver short-circuits."""
-    import pyarrow.parquet as pq
-    return pq.read_metadata(f"{sf_dir}/{name}.parquet").num_rows
 
 
 from ..functions.hashing import mul_hash_priority as _hash_priority  # noqa: E402
@@ -227,17 +221,13 @@ def doc_substring_lcs(sf_dir: str):
     return substring_lcs(ds, width=32, seed=37)
 
 
-def doc_top_tokens(sf_dir: str, k: int = 20,
-                   vocab_hint: int | None = None):
+def doc_top_tokens(sf_dir: str, k: int = 20):
     """Exact global top-k most frequent tokens (vocabulary heavy hitters):
-    per-block partial counts -> grouped combine tree -> distributed top-k
+    per-block partial counts -> grouped combine tree (a keyed exchange
+    when the partial counts do not fit one task) -> distributed top-k
     (stages/topk.py) — never a global sort, never a full-vocab driver
-    collect.  Full DuckDB oracle (EXTRA_ORACLES['doc_top_tokens']).  At
-    10^9+-token vocab scale callers MUST pass ``vocab_hint`` (any upper
-    bound on distinct tokens) so grouped_agg's declared-cardinality
-    contract routes the count through the keyed shuffle instead of the
-    tree (unset -> tree, the right default at corpus-benchmark scale;
-    the truly-unbounded alternative is the mg_topk sketch)."""
+    collect.  Full DuckDB oracle (EXTRA_ORACLES['doc_top_tokens']); the
+    bounded-memory alternative is the mg_topk sketch."""
     from ..functions.textstats import _explode_tokens
     from ..stages.agg import grouped_agg
     from ..stages.topk import topk_rows
@@ -254,8 +244,7 @@ def doc_top_tokens(sf_dir: str, k: int = 20,
 
     tot = grouped_agg(ds.map_batches(counts, batch_format="pyarrow",
                                      batch_size=None),
-                      ["token"], [("n", "sum", "n")],
-                      approx_count=vocab_hint)
+                      ["token"], [("n", "sum", "n")])
     return topk_rows(tot, [("n", "descending"), ("token", "ascending")], k)
 
 
@@ -372,12 +361,14 @@ def doc_top_term(sf_dir: str):
     size-adaptive broadcast join -> per-group top-1
     (stages/topk.topk_per_group).  Full DuckDB oracle
     (EXTRA_ORACLES['doc_top_term'])."""
+    import pyarrow.parquet as pq
+
     from ..functions.textstats import _explode_tokens
     from ..stages.agg import grouped_agg
     from ..stages.joins import attach_by_key
     from ..stages.topk import topk_per_group
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    n_docs = _nrows(sf_dir, "documents")
+    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
 
     def tf_kernel(b: pa.Table) -> pa.Table:
         flat, doc = _explode_tokens(pd.Series(b["text"].to_pylist()))
@@ -407,7 +398,7 @@ def doc_top_term(sf_dir: str):
         score, batch_format="pandas", batch_size=None)
     return topk_per_group(scored, ["doc_id"],
                           [("score", "descending"), ("token", "ascending")],
-                          1, approx_groups=n_docs).sort("doc_id")
+                          1).sort("doc_id")
 
 
 def doc_repetition(sf_dir: str):
@@ -554,8 +545,7 @@ def events_top3_per_user(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
     out = topk_per_group(ds, ["user_id"],
                          [("value", "descending"),
-                          ("event_id", "ascending")], 3,
-                         approx_groups=_nrows(sf_dir, "events"))
+                          ("event_id", "ascending")], 3)
     return out.sort(["user_id", "value", "event_id"],
                     descending=[False, True, False])
 
@@ -657,8 +647,7 @@ def q3_shipping(sf_dir: str):
         return pa.table({"o_orderkey": b["l_orderkey"], "rev": rev})
 
     rev = grouped_agg(li.map_batches(rev_parts, batch_format="pyarrow"),
-                      ["o_orderkey"], [("rev", "sum", "revenue")],
-                      approx_count=20_000_000)
+                      ["o_orderkey"], [("rev", "sum", "revenue")])
     joined = attach_by_key(rev, orders, ["o_orderkey"])
 
     def round_rev(b: pa.Table) -> pa.Table:
@@ -701,11 +690,9 @@ def events_distinct_types(sf_dir: str):
         return b.group_by(["user_id", "event_type"]).aggregate([])
 
     pairs = ds.map_batches(local_distinct, batch_format="pyarrow")
-    pairs = grouped_agg(pairs, ["user_id", "event_type"], [],
-                        approx_count=10_000_000)      # global distinct
+    pairs = grouped_agg(pairs, ["user_id", "event_type"], [])  # distinct
     out = grouped_agg(pairs, ["user_id"],
-                      [("event_type", "count", "n_types")],
-                      approx_count=10_000_000)
+                      [("event_type", "count", "n_types")])
     return out.sort("user_id")
 
 
@@ -732,38 +719,32 @@ def orders_price_bands(sf_dir: str):
     return out.sort(["o_orderkey", "band"])
 
 
-def events_rolling_1h(sf_dir: str, *, driver_max: int | None = None):
+def events_rolling_1h(sf_dir: str):
     """Rolling 1-hour window per user (custom operator, stages/window.py):
     count + sum of the user's events in [ts - 1h, ts].  Full DuckDB oracle
-    (RANGE BETWEEN window frame).  ``driver_max`` overrides the stage's
-    declared-size driver short-circuit (0 forces the keyed-shuffle path —
-    the *_shuffle query variant)."""
+    (RANGE BETWEEN window frame)."""
     from ..stages.window import rolling_window_agg
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    kw = {} if driver_max is None else {"driver_max": driver_max}
     # events ts is timestamp[us] -> width in microseconds
     out = rolling_window_agg(ds, on="ts", by="user_id", value_col="value",
                              width_ns=3_600_000_000,
-                             keep_cols=["event_id"],
-                             approx_rows=_nrows(sf_dir, "events"), **kw)
+                             keep_cols=["event_id"])
     return out.sort("event_id")
 
 
-def events_sessionize(sf_dir: str, *, driver_max: int | None = None):
+def events_sessionize(sf_dir: str):
     """Gap-based sessionization (custom operator, stages/window.py):
     a new session per user when the inter-event gap exceeds 30 minutes.
     Full DuckDB oracle (lag + running-sum window)."""
     from ..stages.window import sessionize
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    kw = {} if driver_max is None else {"driver_max": driver_max}
     out = sessionize(ds, on="ts", by="user_id",
                      gap_ns=1_800_000_000,        # ts is timestamp[us]
-                     keep_cols=["event_id"],
-                     approx_rows=_nrows(sf_dir, "events"), **kw)
+                     keep_cols=["event_id"])
     return out.sort("event_id")
 
 
-def events_asof_prev_click(sf_dir: str, *, driver_max: int | None = None):
+def events_asof_prev_click(sf_dir: str):
     """AS-OF join (custom operator, stages/asof.py): each event joined to
     the same user's most recent STRICTLY-prior click.  Full DuckDB oracle
     (native ASOF JOIN)."""
@@ -779,33 +760,33 @@ def events_asof_prev_click(sf_dir: str, *, driver_max: int | None = None):
 
     clicks = clicks.map_batches(mk, batch_format="pyarrow")
     ev = ev.select_columns(["event_id", "ts", "user_id"])
-    kw = {} if driver_max is None else {"driver_max": driver_max}
     out = asof_join(ev, clicks, on="ts", by="user_id",
                     left_cols=["event_id"],
                     right_cols=["prev_click_ts", "prev_click_value"],
-                    strict=True, right_suffix="",
-                    approx_rows=2 * _nrows(sf_dir, "events"), **kw)
+                    strict=True, right_suffix="")
     return out.sort("event_id")
 
 
 def events_rolling_1h_shuffle(sf_dir: str):
-    """events_rolling_1h with the driver short-circuit DISABLED
-    (driver_max=0): the keyed-shuffle scale path itself runs under the
-    DuckDB oracle — the topology the 100 TB run uses (VERDICT round 3
-    next #5).  Same oracle SQL as events_rolling_1h."""
-    return events_rolling_1h(sf_dir, driver_max=0)
+    """events_rolling_1h on its keyed-exchange side (``exchanges_only``):
+    the topology the 100 TB run uses runs under the DuckDB oracle at every
+    scale (VERDICT round 3 next #5).  Same oracle SQL as
+    events_rolling_1h."""
+    with exchanges_only():
+        return events_rolling_1h(sf_dir)
 
 
 def events_sessionize_shuffle(sf_dir: str):
-    """events_sessionize on the keyed-shuffle scale path (driver_max=0) —
-    oracle-checked at every driver scale, not just declared-small inputs."""
-    return events_sessionize(sf_dir, driver_max=0)
+    """events_sessionize on its keyed-exchange side (``exchanges_only``)."""
+    with exchanges_only():
+        return events_sessionize(sf_dir)
 
 
 def events_asof_prev_click_shuffle(sf_dir: str):
-    """events_asof_prev_click on the keyed-shuffle scale path
-    (driver_max=0) — the partitioned as-of join itself under the oracle."""
-    return events_asof_prev_click(sf_dir, driver_max=0)
+    """events_asof_prev_click on its keyed-exchange side
+    (``exchanges_only``) — the partitioned as-of join under the oracle."""
+    with exchanges_only():
+        return events_asof_prev_click(sf_dir)
 
 
 def emb_neardup_exact(sf_dir: str):
@@ -1051,9 +1032,7 @@ def html_extract_links(sf_dir: str):
                          "url": pa.array(urls, pa.string())})
 
     links = ds.map_batches(harvest, batch_format="pyarrow")
-    n_pages = _HTML_ROWS[_sf_of(sf_dir)]
-    out = grouped_agg(links, ["url"], [("url", "count", "n_pages")],
-                      approx_count=n_pages * 16)
+    out = grouped_agg(links, ["url"], [("url", "count", "n_pages")])
     return out.sort("url")
 
 
@@ -1205,9 +1184,12 @@ def _sql_word_list(words) -> str:
 def _build_extra_oracles() -> dict[str, str]:
     """DuckDB twins for the SQL-expressible extras.
 
-    Tokenizer note: the Python kernels tokenize with ``[^\\W\\d_]+`` over
-    lowercased text (unicode letters); the SQL twin uses ``[a-z]+`` — exact
-    on the ASCII synthetic documents table the driver compares against.
+    Tokenizer note: the Python kernels and every SQL twin tokenize
+    lowercased text with the same ``[^\\W\\d_]+`` class, but they agree
+    only on ASCII: RE2's ``\\W`` is ASCII-only, so DuckDB splits a word at
+    every non-ASCII letter that Python keeps.  The synthetic documents
+    table the driver compares against is ASCII, so the twins are exact
+    there.
     Rounding is half-up (``floor(x*10000 + 0.5)/10000``) to mirror
     ``_round4`` bit-for-bit; see module docstring."""
     from ..functions.textstats import _LANGS, _STOPWORDS
@@ -1764,8 +1746,8 @@ def _build_extra_oracles() -> dict[str, str]:
                      quantile_disc(quality, 0.95) AS hi FROM dq)
         SELECT doc_id, quality FROM dq, b
         WHERE quality >= lo AND quality <= hi ORDER BY doc_id"""
-    # the *_shuffle variants force the keyed-shuffle scale path
-    # (driver_max=0) — semantics identical, so the oracle SQL is shared
+    # the *_shuffle variants force the keyed-exchange side
+    # (exchanges_only) — semantics identical, so the oracle SQL is shared
     oracles["events_rolling_1h_shuffle"] = oracles["events_rolling_1h"]
     oracles["events_sessionize_shuffle"] = oracles["events_sessionize"]
     oracles["events_asof_prev_click_shuffle"] = \

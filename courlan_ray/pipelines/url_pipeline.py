@@ -45,11 +45,6 @@ def sample_by_host(ds, samplesize: int, *, exclude_min: int | None = None,
     [exclude_min, exclude_max], take ``samplesize`` paths per host (all if
     fewer), output sorted per host.  The draw is seeded/key-derived
     instead of random.sample (order-free determinism, SURVEY.md §4)."""
-    from ..stages.agg import meta_rows
-    nrows = meta_rows(ds)   # upper bound on distinct (host, path) / hosts:
-    # declared-cardinality routing for the grouped stages below (a lazy
-    # input with no bound would default the combine tree's final merge to
-    # one block holding every distinct pair — the lazy-auto trap)
     checked = process_urls(ds, strict=strict, language=language,
                            url_col=url_col)
     valid = checked.filter(expr="valid == True")
@@ -77,10 +72,8 @@ def sample_by_host(ds, samplesize: int, *, exclude_min: int | None = None,
 
     nonroot = hp.filter(expr="path != '/'")
     distinct = grouped_agg(nonroot, ["hostinfo", "path"],
-                           [("path", "count", "_c")],
-                           approx_count=nrows).drop_columns(["_c"])
-    sizes = grouped_agg(distinct, ["hostinfo"], [("path", "count", "_n")],
-                        approx_count=nrows)
+                           [("path", "count", "_c")]).drop_columns(["_c"])
+    sizes = grouped_agg(distinct, ["hostinfo"], [("path", "count", "_n")])
     gated = attach_by_key(distinct, sizes, ["hostinfo"])
 
     def gate_and_rank(b: pa.Table) -> pa.Table:
@@ -96,7 +89,7 @@ def sample_by_host(ds, samplesize: int, *, exclude_min: int | None = None,
     picked = topk_per_group(
         gated.map_batches(gate_and_rank, batch_format="pyarrow"),
         ["hostinfo"], [("_rank", "ascending"), ("path", "ascending")],
-        samplesize, approx_groups=nrows)
+        samplesize)
 
     def to_urls(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -118,11 +111,9 @@ def url_frontier_schedule(ds, *, max_urls: int = 10_000, per_host: int = 5,
     global sort by scheduled time, global cap at ``max_urls``.
 
     Returns (url, hostinfo, sched_secs) sorted by sched_secs."""
-    from ..stages.agg import grouped_agg, meta_rows
+    from ..stages.agg import grouped_agg
     from ..stages.topk import topk_per_group
 
-    nrows = meta_rows(ds)   # declared bound for the grouped stages (the
-    # lazy-auto trap — see sample_by_host)
     checked = process_urls(ds, url_col=url_col)
     valid = checked.filter(expr="valid == True")
     hp = valid.map_batches(
@@ -133,11 +124,10 @@ def url_frontier_schedule(ds, *, max_urls: int = 10_000, per_host: int = 5,
     # distinct via combine tree, head + slot via the rank-stamping top-k
     # tree (no per-group pandas callback)
     distinct = grouped_agg(hp, ["hostinfo", "path"],
-                           [("path", "count", "_c")],
-                           approx_count=nrows).drop_columns(["_c"])
+                           [("path", "count", "_c")]).drop_columns(["_c"])
     picked = topk_per_group(distinct, ["hostinfo"],
                             [("path", "ascending")], per_host,
-                            rank_col="_slot", approx_groups=nrows)
+                            rank_col="_slot")
 
     def stamp(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

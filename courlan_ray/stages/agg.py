@@ -1,25 +1,23 @@
 """Associative grouped aggregation: partial-combine tree instead of a
 keyed exchange.
 
-Any keyed exchange has a fixed cost the tree avoids while the key space
-fits one task (2,000 rows in 8 blocks on a 1-vCPU host, Ray at 4 logical
-CPUs: tree 0.29 s; Ray 2.49's hash-shuffle ``groupby().aggregate()`` at
-one partition 1.82 s, as it starts aggregator actors).  Every grouped
-operation this engine needs (bucket representative = min, keeper = min,
-cluster size = count, counters = sum, label propagation = min) is
-ASSOCIATIVE, so the scale-correct plan is map-side partial aggregation
-followed by a combine tree (the "pre-aggregate inside map_batches before
-a small groupby" rule, SURVEY.md §4 / ray_guide aggregation section):
+Every grouped operation this engine needs (bucket representative = min,
+keeper = min, cluster size = count, counters = sum, label propagation =
+min) is ASSOCIATIVE, so the plan is map-side partial aggregation followed
+by a combine tree (the "pre-aggregate inside map_batches before a small
+groupby" rule, SURVEY.md §4 / ray_guide aggregation section):
 
   pass 1: pyarrow ``group_by`` per block (C-vectorized)
   pass k: coalesce blocks ``fanout``-to-1 (``repartition`` without
           shuffle moves no rows) and re-combine per merged block
   final:  one block holds one row per key.
 
-The tree needs the final key cardinality to fit one task; above
-``tree_max_groups`` we fall back to one keyed exchange
-(``joins.keyed_map``), the right topology for 10^9+ distinct keys on a
-real cluster.
+The tree's root holds every key in one task, so the tree runs only when
+the input fits one task (``joins.fits_one_task``): a materialized input is
+measured itself, a lazy one on its materialized partials — which the tree
+materializes anyway, so nothing runs twice.  Above it, the partials go
+through one keyed exchange (``joins.keyed_map``), the topology for 10^9+
+distinct keys.
 """
 
 from __future__ import annotations
@@ -27,8 +25,33 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-TREE_MAX_GROUPS = 20_000_000
 _MERGE_FN = {"min": "min", "max": "max", "sum": "sum", "count": "sum"}
+
+
+def _partials(ds, first):
+    """``first`` per block of ``ds``, and the materialized dataset that
+    measures the input: ``ds`` itself when materialized (the partials then
+    chain lazily), else the partials, materialized here."""
+    from ray.data.dataset import MaterializedDataset
+
+    cur = ds.map_batches(first, batch_format="pyarrow", batch_size=None)
+    if isinstance(ds, MaterializedDataset):
+        return cur, ds
+    cur = cur.materialize()
+    return cur, cur
+
+
+def _reduce(cur, nb: int, merge, fanout: int):
+    # block counts are known without executing: per-block maps are 1:1 and
+    # repartition(n) yields exactly n blocks — so the whole tree chains
+    # LAZILY and executes in ONE streaming run (each intermediate
+    # materialize() cost a full executor launch, ~0.4 s of pure
+    # orchestration per round)
+    while nb > 1:
+        nb = max(1, nb // fanout)
+        cur = cur.repartition(nb).map_batches(
+            merge, batch_format="pyarrow", batch_size=None)
+    return cur.materialize()
 
 
 def combine_tree(ds, merge, *, first=None, fanout: int = 8):
@@ -38,82 +61,34 @@ def combine_tree(ds, merge, *, first=None, fanout: int = 8):
     fanout-to-1 (``repartition`` without shuffle moves no rows) and
     re-apply ``merge`` until ONE block remains.  ``merge`` must be
     associative and idempotent on its own output."""
-    from ray.data.dataset import MaterializedDataset
-
-    cur = ds.map_batches(first or merge, batch_format="pyarrow",
-                         batch_size=None)
-    # block counts are known without executing: per-block maps are 1:1 and
-    # repartition(n) yields exactly n blocks — so the whole tree chains
-    # LAZILY and executes in ONE streaming run (each intermediate
-    # materialize() cost a full executor launch, ~0.4 s of pure
-    # orchestration per round; a materialized input's count is free)
-    if isinstance(ds, MaterializedDataset):
-        nb = ds.num_blocks()
-    else:
-        cur = cur.materialize()
-        nb = cur.num_blocks()
-    while nb > 1:
-        nb = max(1, nb // fanout)
-        cur = cur.repartition(nb).map_batches(
-            merge, batch_format="pyarrow", batch_size=None)
-    return cur.materialize()
+    cur, measured = _partials(ds, first or merge)
+    return _reduce(cur, measured.num_blocks(), merge, fanout)
 
 
-def meta_rows(ds) -> int | None:
-    """Row count when it is metadata-known (fresh parquet read: footer
-    counts; materialized dataset: block metadata) — None otherwise.  Never
-    executes the dataset, so it is safe to probe lazy inputs; callers use
-    it as a declared upper bound on group cardinality (distinct keys <=
-    rows) for ``resolve_agg_mode`` routing."""
-    try:
-        n = ds._meta_count()
-        return int(n) if n is not None else None
-    except Exception:
-        return None
+def tree_or_keyed(ds, keys: list[str], first, merge, *, fanout: int = 8):
+    """``combine_tree`` when the input fits one task; else ``first`` per
+    block, one keyed exchange on ``keys`` and ``merge`` per block (every
+    key then lies whole in one block)."""
+    from .joins import fits_one_task, keyed_map
 
-
-def resolve_agg_mode(ds, approx_count: int | None,
-                     tree_max_groups: int = TREE_MAX_GROUPS) -> str:
-    """Tree vs shuffle routing for ``mode="auto"`` (the declared-cardinality
-    contract, VERDICT round 1 #5).  A declared ``approx_count`` always wins;
-    a materialized input falls back to its row count; a lazy input with no
-    declared bound defaults to the tree (counting would re-execute its
-    upstream chain) — large-key-space callers must declare."""
-    if approx_count is not None:
-        return "tree" if approx_count <= tree_max_groups else "shuffle"
-    from ray.data.dataset import MaterializedDataset
-    if isinstance(ds, MaterializedDataset):
-        return "tree" if ds.count() <= tree_max_groups else "shuffle"
-    return "tree"
+    cur, measured = _partials(ds, first)
+    if fits_one_task(measured):
+        return _reduce(cur, measured.num_blocks(), merge, fanout)
+    return keyed_map(cur, keys, merge)
 
 
 def grouped_agg(ds, keys: list[str], specs: list[tuple[str, str, str]], *,
-                fanout: int = 8, tree_max_groups: int = TREE_MAX_GROUPS,
-                mode: str = "auto", approx_count: int | None = None):
+                fanout: int = 8):
     """Grouped aggregation of ``ds`` by ``keys``.
 
     specs: (input_col, fn, output_col) with fn in {min,max,sum,count}.
     Returns a Dataset with columns keys + output_cols (one row per key).
 
-    ``mode``: "tree" | "shuffle" | "auto".  Under "auto" the key
-    cardinality must be DECLARED, not guessed: pass ``approx_count`` (any
-    upper bound on the number of distinct key tuples — e.g. the input row
-    count) and the tree is used iff it fits ``tree_max_groups``.  Without
-    it, a materialized input's row count is used; a lazy input without a
-    declared bound defaults to the tree (counting it would re-execute its
-    whole upstream chain) — callers at 10^9+ group scale MUST pass
-    ``approx_count`` or ``mode="shuffle"`` (the lazy-auto trap,
-    VERDICT round 1 #5).
-
-    The shuffle path is map-side partial aggregation + one keyed exchange
-    (``joins.keyed_map``) + a per-block final combine — every distinct
-    key lands wholly in one block, so no single task ever holds more than
-    ~1/B of the key space for B blocks (the 10^9-distinct-keys-safe
-    topology).
+    Map-side partial aggregation, then the combine tree or, when the input
+    does not fit one task, one keyed exchange and a per-block final
+    combine (``tree_or_keyed``): every distinct key lands wholly in one
+    block, so no task holds more than ~1/B of the key space for B blocks.
     """
-    if mode == "auto":
-        mode = resolve_agg_mode(ds, approx_count, tree_max_groups)
-
     # a count over a key column is re-pointed at a synthetic ones column
     # (pyarrow can't aggregate a grouping key)
     needs_ones = any(fn == "count" and c in keys for c, fn, _ in specs)
@@ -143,13 +118,7 @@ def grouped_agg(ds, keys: list[str], specs: list[tuple[str, str, str]], *,
             cols[out] = agg[name]
         return pa.table(cols)
 
-    if mode == "shuffle":
-        from .joins import keyed_map
-        pre = ds.map_batches(partial, batch_format="pyarrow",
-                             batch_size=None)
-        return keyed_map(pre, keys, combine)
-
-    return combine_tree(ds, combine, first=partial, fanout=fanout)
+    return tree_or_keyed(ds, keys, partial, combine, fanout=fanout)
 
 
 def grouped_concat(ds, keys: list[str], col: str, *, sep: str = ",",

@@ -320,7 +320,7 @@ def embedding_neardup_pairs(ds, cfg: DedupConfig, *, threshold: float = 0.95,
             pa.table({"left_id": star["vid_min"], "right_id": star["vid"]})])
 
     pairs = bucket_pairs(banded, emit, key="bucket",
-                         driver=banded.count() <= cfg.lsh_driver_link_max)
+                         max_rows=cfg.lsh_driver_link_max)
 
     # verify with exact cosine: attach each side's vector via the
     # size-adaptive pair<->payload join (broadcast when small, two
@@ -428,8 +428,10 @@ def cosine_pairs_exact(ds, threshold: float, *, id_col: str = "vec_id",
     # metadata-known (fresh parquet read / materialized input) — the guard
     # exists to stop accidental corpus-scale runs, so it must not first
     # pay an O(n) normalize + object-store materialization of the corpus
-    from .agg import meta_rows
-    pre_rows = meta_rows(ds)
+    try:
+        pre_rows = ds._meta_count()   # footer / block counts, no execution
+    except Exception:
+        pre_rows = None
     if pre_rows is not None and pre_rows > max_rows:
         raise ValueError(
             f"cosine_pairs_exact is an O(n^2) audit tier bounded at "

@@ -8,7 +8,8 @@ single-shuffle construction:
      (key, t, side flag, payload columns — the absent side's columns ride
      as nulls) and ``union``ed,
   2. ONE keyed exchange (``joins.keyed_map``) co-locates every key's rows
-     from both sides in one block,
+     from both sides in one block — or, when the envelope fits one task,
+     the driver collects it whole (``joins.kernel_by_key``),
   3. a per-block vectorized kernel sorts the right side by (key, t)
      once and, per key group, binary-searches all left timestamps into the
      right side (``np.searchsorted`` — no per-row Python).
@@ -92,9 +93,7 @@ def asof_join(left_ds, right_ds, *, on: str, by: str,
               left_cols: list[str], right_cols: list[str],
               strict: bool = True, right_suffix: str = "_r",
               tolerance_ns: int | None = None,
-              chunk_ns: int | None = None,
-              approx_rows: int | None = None,
-              driver_max: int = 1_000_000):
+              chunk_ns: int | None = None):
     """Left as-of join.  Returns a Dataset with ``left_cols`` plus each of
     ``right_cols`` as ``<name><right_suffix>`` (null when the key has no
     right row at-or-before / strictly-before ``on``).
@@ -114,15 +113,8 @@ def asof_join(left_ds, right_ds, *, on: str, by: str,
     match them); results are exact.  Requires ``tolerance_ns`` (an
     unbounded lookback cannot chunk — any right row could match) and
     ``chunk_ns >= tolerance_ns`` (a lookback spans at most one chunk
-    boundary).
-
-    ``approx_rows``: DECLARED combined input size (the declared-
-    cardinality contract of stages/agg.py — never measured by executing
-    the inputs).  When declared and <= ``driver_max``, the keyed shuffle
-    is skipped and the same kernel runs once driver-side (the AllToAll
-    launch dwarfs the vectorized kernel at small row counts); undeclared
-    or large inputs stream through the shuffle unchanged."""
-    from .joins import keyed_map
+    boundary)."""
+    from .joins import kernel_by_key
 
     if chunk_ns is not None:
         if tolerance_ns is None:
@@ -259,10 +251,4 @@ def asof_join(left_ds, right_ds, *, on: str, by: str,
                         pa.array(got), col, pa.nulls(n_l, r_types[c]))
         return pa.table(out_cols)
 
-    if approx_rows is not None and approx_rows <= driver_max:
-        import ray.data as rd
-        from .joins import _collect
-        tbl = _collect(env)
-        if tbl.num_columns:       # schema-less empty: fall through to the
-            return rd.from_arrow(kernel(tbl))  # shuffle path's empty blocks
-    return keyed_map(env, [by, "__chunk"] if chunked else [by], kernel)
+    return kernel_by_key(env, [by, "__chunk"] if chunked else [by], kernel)

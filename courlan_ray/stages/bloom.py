@@ -124,9 +124,10 @@ def bloom_semi_filter(ds, keys_ds, col: str, *, keep: bool,
     ``keys_ds[col]``, Bloom-accelerated: the broadcast bit-array probe
     eliminates non-members map-side (no false negatives), then the exact
     key set verifies the few candidates.  The exact tier here broadcasts
-    the key set (``ray.put`` once); above ``joins.BROADCAST_MAX_KEYS``
-    compose the bloom probe with ``filter_by_keys``'s partitioned
-    semi-join instead — the probe output IS its input."""
+    the key set (``ray.put`` once); for a key set that does not fit one
+    task (``joins.fits_one_task``) compose the bloom probe with
+    ``filter_by_keys``'s partitioned semi-join instead — the probe output
+    IS its input."""
     import ray
 
     from .joins import _collect, cached_get

@@ -86,4 +86,4 @@ def reject_counters(ds):
     from .agg import grouped_agg
     return grouped_agg(ds.select_columns(["reject_reason"]),
                        ["reject_reason"],
-                       [("reject_reason", "count", "n")], mode="tree")
+                       [("reject_reason", "count", "n")])

@@ -1,11 +1,12 @@
 """Connected components over verified pairs -> cluster assignments.
 
-Two execution paths, chosen by edge count (SURVEY.md §7.4 "union-find at
-scale"):
+Two execution paths, chosen by the edge table's size (SURVEY.md §7.4
+"union-find at scale"):
 
-- ``driver_union_find``: edges below ``cfg.driver_cc_max_pairs`` are pulled
-  to the driver (two narrow string columns) and solved with path-compressed
-  union-find.  Dup edges are O(#duplicates), far smaller than the input.
+- ``driver_union_find``: edges that fit one task (``joins.fits_one_task``)
+  and number at most ``cfg.driver_cc_max_pairs`` are pulled to the driver
+  (two narrow string columns) and solved with path-compressed union-find.
+  Dup edges are O(#duplicates), far smaller than the input.
 - ``distributed_components``: iterative min-label propagation expressed as
   Ray Data shuffles (the BTS-style alternative, PAPERS.md): each round
   joins the label table to both ends of the symmetric edge list, takes the
@@ -64,8 +65,7 @@ def driver_union_find(edges: pd.DataFrame) -> pd.DataFrame:
                          "cluster_id": uniques.take(labels)})
 
 
-def distributed_components(edges_ds, cfg: DedupConfig,
-                           approx_nodes: int | None = None):
+def distributed_components(edges_ds, cfg: DedupConfig):
     """Min-label propagation, hooking and pointer jumping in Ray Data.
     Returns a Dataset (image_id, cluster_id) covering every node appearing
     in edges.
@@ -80,9 +80,8 @@ def distributed_components(edges_ds, cfg: DedupConfig,
     below it.  Labels only fall and every label is a node of the same
     component, so the loop ends; once no min-step label falls every edge
     joins equal labels and hooking and the pointer jump change nothing.
-    ``approx_nodes`` (an upper bound on the node count) routes the label
-    aggregations to the keyed-shuffle path when the key space exceeds the
-    combine tree's single-task capacity."""
+    Each label aggregation takes the combine tree or the keyed exchange by
+    its own measured partials (``agg.grouped_agg``)."""
     import pyarrow.compute as pc
     from .agg import grouped_agg
     from .joins import attach_by_key
@@ -96,12 +95,9 @@ def distributed_components(edges_ds, cfg: DedupConfig,
         })
 
     sym = edges_ds.map_batches(symmetric, batch_format="pyarrow").materialize()
-    if approx_nodes is None:
-        approx_nodes = sym.count()       # 2 * edges >= node count
 
     def min_label(ds, cols):
-        return grouped_agg(ds, ["image_id"], [(c, "min", c) for c in cols],
-                           approx_count=approx_nodes)
+        return grouped_agg(ds, ["image_id"], [(c, "min", c) for c in cols])
 
     def pointer_jump(labels):
         # label <- label[label]: every label IS a node id, so the lookup
@@ -159,27 +155,25 @@ def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
     """edges + all valid ids -> (image_id, cluster_id, cluster_size,
     is_representative).
 
-    Components come from the vectorized driver union-find below
-    ``cfg.driver_cc_max_pairs`` edges (one typed block, sizes counted in
-    pandas) and from distributed label propagation above it (sizes from a
-    grouped count, attached by ``cluster_id``); ``assign_clusters`` then
-    covers every valid id."""
+    Components come from the vectorized driver union-find when the edges
+    fit one task and number at most ``cfg.driver_cc_max_pairs`` (one typed
+    block, sizes counted in pandas) and from distributed label propagation
+    otherwise (sizes from a grouped count, attached by ``cluster_id``);
+    ``assign_clusters`` then covers every valid id."""
     import ray.data as rd
     from .agg import grouped_agg
-    from .joins import attach_by_key
+    from .joins import attach_by_key, fits_one_task
 
     edges_ds = edges_ds.select_columns(["left_id", "right_id"]).materialize()
-    n_edges = edges_ds.count()      # metadata-only; no second execution
-    if n_edges > cfg.driver_cc_max_pairs:
-        comp = distributed_components(edges_ds, cfg,
-                                      approx_nodes=2 * n_edges)
+    if not fits_one_task(edges_ds, cfg.driver_cc_max_pairs):
+        comp = distributed_components(edges_ds, cfg)
         sizes = grouped_agg(comp, ["cluster_id"],
-                            [("image_id", "count", "cluster_size")],
-                            approx_count=2 * n_edges)
+                            [("image_id", "count", "cluster_size")])
         comp = attach_by_key(comp, sizes, ["cluster_id"])
     else:
         comp_df = driver_union_find(_collect(edges_ds).to_pandas()) \
-            if n_edges else pd.DataFrame({"image_id": [], "cluster_id": []})
+            if edges_ds.count() else \
+            pd.DataFrame({"image_id": [], "cluster_id": []})
         comp = rd.from_arrow(pa.table({
             "image_id": pa.array(comp_df["image_id"], pa.string()),
             "cluster_id": pa.array(comp_df["cluster_id"], pa.string()),

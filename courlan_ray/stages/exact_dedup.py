@@ -71,22 +71,20 @@ def _edges_from_block(tbl: pa.Table, key_col: str, id_col: str) -> pa.Table:
 def exact_dup_edges(keyed_ds, cfg: DedupConfig, id_col: str = "image_id"):
     """(left_id=keeper, right_id=dropped) edges from the narrow projection.
 
-    Size-adaptive: a small narrow table is linked in one vectorized driver
-    pass; at scale one keyed exchange (``joins.keyed_map``) lands every
+    Size-adaptive (``joins.kernel_by_key``): a narrow table that fits one
+    task and has at most ``cfg.verify_broadcast_max`` rows is linked in
+    one vectorized driver pass; above it one keyed exchange lands every
     ``exact_key`` wholly in one block and the same block kernel runs per
     block — no driver materialization."""
-    import ray.data as rd
-    from .joins import _collect, keyed_map
+    from .joins import kernel_by_key
 
     schema = keyed_ds.schema()
     if schema is None or "exact_key" not in schema.names:
         keyed_ds = add_exact_key(keyed_ds, cfg)
-    narrow = keyed_ds.select_columns(["exact_key", id_col]).materialize()
-    if narrow.count() <= cfg.verify_broadcast_max:
-        return rd.from_arrow(
-            _edges_from_block(_collect(narrow), "exact_key", id_col))
-    return keyed_map(narrow, ["exact_key"],
-                     lambda b: _edges_from_block(b, "exact_key", id_col))
+    return kernel_by_key(
+        keyed_ds.select_columns(["exact_key", id_col]), ["exact_key"],
+        lambda b: _edges_from_block(b, "exact_key", id_col),
+        cfg.verify_broadcast_max)
 
 
 def exact_dedup(ds, cfg: DedupConfig, id_col: str = "image_id"):

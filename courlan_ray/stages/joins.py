@@ -1,6 +1,15 @@
-"""Join / lookup helpers (SURVEY.md §2.5).
+"""Join / lookup helpers (SURVEY.md §2.5) and the one size rule.
 
-Three scale-aware patterns, mirroring the reference's lookup shapes:
+Every dual-path stage in the engine holds its input in ONE place (a
+driver collect, a broadcast probe, a combine-tree root) when it is small
+and runs a keyed exchange (``keyed_map``) otherwise: at small sizes the
+one place is usually faster, and only the exchange scales.
+``fits_one_task`` makes that call for all of them from the measured rows
+and bytes of the materialized side the one-place path would hold, against
+one byte budget (``SMALL_BYTES``); ``exchanges_only()`` forces the
+exchange side everywhere.
+
+Three lookup patterns, mirroring the reference's lookup shapes:
 
 - broadcast semi/anti join: small key side shipped once via ``ray.put`` and
   probed with a vectorized ``pc.is_in`` inside ``map_batches`` (the robots
@@ -25,6 +34,9 @@ together in one output block — the property Ray's own
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -45,8 +57,35 @@ def cached_get(ref):
         _GET_CACHE[key] = ray.get(ref)
     return _GET_CACHE[key]
 
-# above this many keys we stop broadcasting and use a partitioned join
-BROADCAST_MAX_KEYS = 5_000_000
+
+#: The byte budget of the one-place side of every dual-path stage.  Bytes,
+#: not rows: a side of narrow rows and one of KB-wide payload rows differ
+#: by orders of magnitude at the same row count.
+SMALL_BYTES = 256 * 2**20
+_EXCHANGES_ONLY = ContextVar("exchanges_only", default=False)
+
+
+@contextmanager
+def exchanges_only():
+    """Within the block ``fits_one_task`` answers False, so every
+    dual-path stage built there takes its keyed-exchange side (the
+    ``*_shuffle`` queries and the both-sides tests)."""
+    token = _EXCHANGES_ONLY.set(True)
+    try:
+        yield
+    finally:
+        _EXCHANGES_ONLY.reset(token)
+
+
+def fits_one_task(ds, max_rows: int | None = None) -> bool:
+    """Whether the materialized ``ds`` is small enough to hold in one
+    place: at most ``SMALL_BYTES`` and, when given, ``max_rows`` rows.
+    Both are block-metadata reads, so nothing executes again."""
+    if _EXCHANGES_ONLY.get():
+        return False
+    if max_rows is not None and ds.count() > max_rows:
+        return False
+    return (ds.size_bytes() or 0) <= SMALL_BYTES    # None: no blocks
 
 
 def cluster_cpus() -> int:
@@ -143,22 +182,34 @@ def keyed_map(ds, keys: list[str], kernel):
             .map_batches(run, batch_format="pyarrow", batch_size=None))
 
 
+def kernel_by_key(ds, keys: list[str], kernel, max_rows: int | None = None):
+    """``kernel`` over ``ds`` with every ``keys`` tuple whole in one call:
+    one driver call over the collected input when it fits one task, else
+    once per block of ``keyed_map``."""
+    import ray.data as rd
+
+    ds = ds.materialize()
+    if fits_one_task(ds, max_rows):
+        tbl = _collect(ds)
+        if tbl.num_columns:       # a schema-less empty takes the keyed side
+            return rd.from_arrow(kernel(tbl))
+    return keyed_map(ds, keys, kernel)
+
+
 def filter_by_keys(ds, keys_ds, key_col: str, *, keep: bool,
-                   keys_col: str | None = None,
-                   broadcast_max: int = BROADCAST_MAX_KEYS):
+                   keys_col: str | None = None):
     """Semi (keep=True) or anti (keep=False) join of ``ds`` against the key
-    column ``keys_col`` (default ``key_col``) of ``keys_ds``.  Chooses
-    broadcast vs partitioned join by key count."""
+    column ``keys_col`` (default ``key_col``) of ``keys_ds``: a broadcast
+    probe when the key column fits one task, a partitioned join above."""
     kc = keys_col or key_col
-    keys_ds = keys_ds.materialize()
-    n_keys = keys_ds.count()
-    if n_keys == 0:
+    keys = keys_ds.select_columns([kc]).materialize()
+    if keys.count() == 0:
         return ds if not keep else ds.limit(0)
-    if n_keys <= broadcast_max:
+    if fits_one_task(keys):
         # Arrow-native collect: concat the key column's blocks and dedup
         # with the hash kernel — never take_all() row dicts (a 5M-key side
         # would build 5M Python dicts on the driver just to read one field)
-        key_tbl = _collect(keys_ds.select_columns([kc]))
+        key_tbl = _collect(keys)
         ref = ray.put(safe_combine(key_tbl[kc]).unique())
 
         def probe(batch: pa.Table) -> pa.Table:
@@ -171,7 +222,7 @@ def filter_by_keys(ds, keys_ds, key_col: str, *, keep: bool,
         return ds.map_batches(probe, batch_format="pyarrow")
 
     # large key side: partitioned join on the key
-    marker = keys_ds.select_columns([kc]).map_batches(
+    marker = keys.map_batches(
         lambda t: t.append_column("__hit", pa.array(np.ones(t.num_rows, dtype=bool))),
         batch_format="pyarrow")
     joined = _join(ds, marker, "left_outer", on=(key_col,), right_on=(kc,))
@@ -180,38 +231,16 @@ def filter_by_keys(ds, keys_ds, key_col: str, *, keep: bool,
     return joined.map_batches(pred, batch_format="pyarrow").drop_columns(["__hit"])
 
 
-#: broadcast budget, in BYTES, for attach_by_key's right side and
-#: hash_join_pairs' payload side — the row
-#: count alone is not a safe gate (a 2M-row side with KB-wide payload rows
-#: would broadcast GBs to every node); both must pass.
-BROADCAST_MAX_BYTES = 256 * 2**20
-
-
-def _should_broadcast(n_rows: int, n_bytes: int | None,
-                      max_rows: int, max_bytes: int) -> bool:
-    """Broadcast only when BOTH the row count and the materialized byte
-    size (when known) fit the budget; unknown size -> trust the row gate."""
-    if n_rows > max_rows:
-        return False
-    return n_bytes is None or n_bytes <= max_bytes
-
-
-def attach_by_key(left_ds, right_ds, on: list[str], *,
-                  broadcast_max: int = 2_000_000,
-                  broadcast_max_bytes: int = BROADCAST_MAX_BYTES,
-                  how: str = "inner"):
+def attach_by_key(left_ds, right_ds, on: list[str], *, how: str = "inner"):
     """Inner/left join ``right_ds``'s columns onto ``left_ds`` by key
-    column(s).  Small right sides are broadcast once via ``ray.put`` and
-    merged with vectorized pandas inside ``map_batches`` (no exchange);
-    large right sides fall back to the partitioned sort-merge ``_join``.
-    "Small" is both a row-count AND a byte budget (``size_bytes()`` of the
-    materialized right side) so a narrow-but-wide-row table never
-    broadcasts GBs per node."""
-    # materialized: count() is then metadata-free and the collect below
+    column(s).  A right side that fits one task is broadcast once via
+    ``ray.put`` and merged with vectorized pandas inside ``map_batches``
+    (no exchange); a larger one goes through the partitioned sort-merge
+    ``_join``."""
+    # materialized: its size is then block metadata and the collect below
     # doesn't re-execute
     right_ds = right_ds.materialize()
-    if _should_broadcast(right_ds.count(), right_ds.size_bytes(),
-                         broadcast_max, broadcast_max_bytes):
+    if fits_one_task(right_ds):
         small_df = _collect(right_ds).to_pandas()
         ref = ray.put(small_df)           # converted ONCE, shipped once
 
@@ -226,21 +255,20 @@ def attach_by_key(left_ds, right_ds, on: list[str], *,
 
 
 def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str],
-                    broadcast_max: int = 2_000_000):
+                    max_rows: int | None = None):
     """Attach payload columns for both sides of a (left_id, right_id) pair
     table; a pair with either id missing from the payload is dropped, and
-    a repeated payload id resolves to its first row.  Payload sides within
-    both ``broadcast_max`` rows and ``BROADCAST_MAX_BYTES`` are broadcast
-    with an exact ``pd.Index`` over their ids; larger ones use two
+    a repeated payload id resolves to its first row.  A payload that fits
+    one task (``fits_one_task`` with ``max_rows``) is broadcast with an
+    exact ``pd.Index`` over its ids; a larger one goes through two
     partitioned joins, one per pair side (there a repeated payload id
     gives one row per copy)."""
-    payload_ds = payload_ds.materialize()
     cols = [id_col] + payload_cols
-    if _should_broadcast(payload_ds.count(), payload_ds.size_bytes(),
-                         broadcast_max, BROADCAST_MAX_BYTES):
+    narrow = payload_ds.select_columns(cols).materialize()
+    if fits_one_task(narrow, max_rows):
         import pandas as pd
 
-        tbl = _collect(payload_ds.select_columns(cols))
+        tbl = _collect(narrow)
         index = pd.Index(tbl[id_col].to_pandas())
         first = ~index.duplicated()
         # combine chunks BEFORE broadcasting: take() over a chunked table
@@ -270,7 +298,6 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
         return pairs_ds.map_batches(lambda b: sliced(b, attach, 8192),
                                     batch_format="pyarrow", batch_size=None)
 
-    narrow = payload_ds.select_columns(cols)
     for side, suffix in (("left", "_l"), ("right", "_r")):
         pairs_ds = _join(pairs_ds,
                          narrow.rename_columns({c: c + suffix for c in cols}),

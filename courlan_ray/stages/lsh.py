@@ -21,11 +21,12 @@ tree:
      passes ONE rep row per (bucket, salt) upward with a member count.
      A hot band with 10^6 members in a block leaves as <= num_salts rows.
   level 2 (cross-block link, size-adaptive): rep rows are linked across
-     blocks and salts per bucket — below ``cfg.lsh_driver_link_max`` rows
-     on the driver (vectorized pyarrow group_by, one arrow table), above it
-     through one keyed exchange (``joins.keyed_map``, a task-based sort)
-     that lands each bucket wholly in one block, linked by a vectorized
-     per-block pass (the multi-node scale path).
+     blocks and salts per bucket — on the driver (vectorized pyarrow
+     group_by, one arrow table) while they fit one task and number at
+     most ``cfg.lsh_driver_link_max``, else through one keyed exchange
+     (``joins.keyed_map``, a task-based sort) that lands each bucket
+     wholly in one block, linked by a vectorized per-block pass (the
+     multi-node scale path).
 
 A star per bucket emits |bucket| edges instead of |bucket|^2 pairs;
 transitive closure in the components stage recovers full clusters, and
@@ -39,10 +40,11 @@ contribute no edges.  Strong MinHash bands are never capped.
 
 ``bucket_pairs`` is the candidate-pair engine behind level 2, shared with
 every other pair stage (``simhash_pairs``, ``ngram_jaccard``,
-``substring``, ``ann``): postings -> per-bucket ``emit`` on the driver or
-behind one keyed exchange -> an exact distinct on (left_id, right_id) with
-a per-pair count.  Each stage supplies only its postings and its
-``emit``; ``all_pairs`` is the shared all-pairs emit.
+``substring``, ``ann``): postings -> per-bucket ``emit`` on the driver
+(postings that fit one task) or behind one keyed exchange -> an exact
+distinct on (left_id, right_id) with a per-pair count.  Each stage
+supplies only its postings and its ``emit``; ``all_pairs`` is the shared
+all-pairs emit.
 """
 
 from __future__ import annotations
@@ -305,14 +307,15 @@ def all_pairs(tbl: pa.Table, key: str, id_col: str,
                      "right_id": pa.array(ri, ids.type)})
 
 
-def bucket_pairs(postings, emit, *, key: str, driver: bool):
+def bucket_pairs(postings, emit, *, key: str, max_rows: int | None = None):
     """The candidate-pair engine every pair stage shares: (``key``, id)
     postings -> distinct (left_id, right_id, n), left_id < right_id by
     value, n = how many emitted rows named the pair.
 
     ``emit(tbl)`` receives every posting row of some set of buckets, each
     bucket whole, and returns (left_id, right_id) rows in either order;
-    self-pairs are dropped.  ``driver`` picks the side:
+    self-pairs are dropped.  The materialized postings pick the side
+    (``joins.fits_one_task`` with ``max_rows``):
 
     - driver: collect the postings, ``emit`` once, count pairs with one
       pyarrow ``group_by``, and split the result into ~2xCPU blocks
@@ -320,16 +323,15 @@ def bucket_pairs(postings, emit, *, key: str, driver: bool):
       own repartition — tiny tables stay one block and verify skips the
       fan-out entirely;
     - scale: ONE keyed exchange (``joins.keyed_map``) co-locates every
-      bucket, ``emit`` runs per block, and
-      ``grouped_agg`` counts pairs, routed by the materialized pair-row
-      count (an upper bound on distinct pairs).
+      bucket, ``emit`` runs per block, and ``grouped_agg`` counts pairs
+      over the materialized emitted rows.
 
     The distinct is exact on the id values (no pair hash, so no collision
     can drop a pair), and the output is materialized so its block count is
     known downstream."""
     import ray.data as rd
     from .agg import grouped_agg
-    from .joins import _collect, cluster_cpus, keyed_map
+    from .joins import _collect, cluster_cpus, fits_one_task, keyed_map
 
     def canonical(tbl: pa.Table) -> pa.Table:
         pairs = emit(tbl)
@@ -339,7 +341,8 @@ def bucket_pairs(postings, emit, *, key: str, driver: bool):
         return pa.table({"left_id": lo.filter(keep),
                          "right_id": hi.filter(keep)})
 
-    if driver:
+    postings = postings.materialize()
+    if fits_one_task(postings, max_rows):
         counted = canonical(_collect(postings)).group_by(
             ["left_id", "right_id"]).aggregate([([], "count_all")])
         out = pa.table({"left_id": counted["left_id"],
@@ -361,11 +364,11 @@ def candidate_pairs(sig_ds, cfg: DedupConfig):
     See module docstring for the two-level construction.  ``sig_ds`` should
     be the (narrow) signature table; callers filter invalid / exact-dup rows
     first.  Level 2 runs in ``bucket_pairs`` with ``_link_all`` as its
-    emit: on the driver up to ``cfg.lsh_driver_link_max`` level-1 rows,
-    through the keyed exchange above."""
+    emit: on the driver up to ``cfg.lsh_driver_link_max`` level-1 rows
+    that fit one task, through the keyed exchange above."""
     st1 = sig_ds.map_batches(lambda b: _local_stars(b, cfg),
                              batch_format="pyarrow",
                              batch_size=cfg.batch_size).materialize()
     cap = cfg.weak_bucket_cap
     return bucket_pairs(st1, lambda t: _link_all(t, cap), key="bucket",
-                        driver=st1.count() <= cfg.lsh_driver_link_max)
+                        max_rows=cfg.lsh_driver_link_max)

@@ -21,12 +21,12 @@ Scale shape (the 100 TB path):
     n-gram chain hashes + per-segment sort/unique — no Python per row).
   - postings: narrow (gram:int64, doc, set size) rows, ~p per doc.
   - candidates: ``lsh.bucket_pairs`` with the length-filtered all-pairs
-    emit — one driver pass up to ``driver_max`` docs, ONE keyed
+    emit — one driver pass while the postings fit one task, ONE keyed
     exchange on gram above — and an exact (left_id, right_id)
     distinct.
   - verify: pair table joined back to gram arrays via the size-adaptive
-    ``hash_join_pairs`` (broadcast below 2M docs, partitioned joins above),
-    exact Jaccard per batch, one global sort.
+    ``hash_join_pairs`` (broadcast while the gram sets fit one task,
+    partitioned joins above), exact Jaccard per batch, one global sort.
 
 Hash-identity caveat: gram sets are represented by 64-bit chain hashes of
 token hashes; two distinct grams colliding would merge set elements.  At
@@ -138,12 +138,11 @@ def _list_to_arrays(col) -> list[np.ndarray]:
 
 def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
                         id_col: str = "doc_id", text_col: str = "text",
-                        seed: int = 29, driver_max: int = 100_000):
+                        seed: int = 29):
     """Dataset -> exact near-dup pair table (left_id, right_id, jaccard),
     every unordered pair with word-``n``-gram Jaccard >= ``threshold``,
     sorted by (left_id, right_id).  See module docstring for the scale
-    shape; up to ``driver_max`` docs the candidate link runs in one
-    driver pass."""
+    shape."""
     from .joins import hash_join_pairs, safe_combine
     from .lsh import all_pairs, bucket_pairs
 
@@ -181,7 +180,7 @@ def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
     pairs = bucket_pairs(
         sig.map_batches(postings_kernel, batch_format="pyarrow"),
         lambda t: all_pairs(t, "gram", "id", "n_grams", threshold),
-        key="gram", driver=sig.count() <= driver_max)
+        key="gram")
     joined = hash_join_pairs(pairs, sig, id_col=id_col,
                              payload_cols=["grams", "n_grams"])
 

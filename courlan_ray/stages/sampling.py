@@ -22,7 +22,7 @@ from ..functions.hashing import hash_strings
 
 def group_sample(ds, key: str, k: int, *, exclude_min: int = 0,
                  exclude_max: int = 1 << 62, seed: int = 0,
-                 id_col: str = "image_id", approx_groups: int | None = None):
+                 id_col: str = "image_id"):
     """Per-group deterministic sample of k rows; groups with fewer than
     exclude_min or more than exclude_max rows are dropped entirely.
 
@@ -30,24 +30,16 @@ def group_sample(ds, key: str, k: int, *, exclude_min: int = 0,
     callback): group sizes come from the associative combine tree
     (stages/agg.grouped_agg), the size gate is a size-adaptive join +
     arrow filter, and the k-smallest-rank draw per group is the
-    partial/combine top-k tree (stages/topk.topk_per_group) — at most ONE
-    keyed shuffle end-to-end, and only above the tree's declared group
-    bound."""
+    partial/combine top-k tree (stages/topk.topk_per_group) — each of them
+    a keyed exchange only when its input does not fit one task
+    (``joins.fits_one_task``)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from .agg import grouped_agg, meta_rows
+    from .agg import grouped_agg
     from .joins import attach_by_key
     from .topk import topk_per_group
 
-    # declared-cardinality routing (the lazy-auto trap): a lazy input
-    # without a bound would default the tree's final combine to one block
-    # holding every distinct key — pass approx_groups at scale, or let a
-    # metadata-known input row count stand in as the upper bound
-    if approx_groups is None:
-        approx_groups = meta_rows(ds)
-
-    sizes = grouped_agg(ds, [key], [(id_col, "count", "_gsz")],
-                        approx_count=approx_groups)
+    sizes = grouped_agg(ds, [key], [(id_col, "count", "_gsz")])
     gated = attach_by_key(ds, sizes, [key])
 
     def gate_and_rank(b: pa.Table) -> pa.Table:
@@ -61,7 +53,7 @@ def group_sample(ds, key: str, k: int, *, exclude_min: int = 0,
     ranked = gated.map_batches(gate_and_rank, batch_format="pyarrow")
     picked = topk_per_group(ranked, [key],
                             [("_rank", "ascending"), (id_col, "ascending")],
-                            k, approx_groups=approx_groups)
+                            k)
 
     def order_out(b: pa.Table) -> pa.Table:
         b = b.drop_columns(["_rank"])

@@ -10,7 +10,8 @@ per-pair exact verdict.
 
 Narrow (band, id) postings go through ``lsh.bucket_pairs`` with the
 all-pairs emit (exact — Hamming-ball buckets are small by construction):
-one driver pass up to ``driver_max`` docs, one keyed exchange above.
+one driver pass while the postings fit one task, one keyed exchange
+above.
 The distinct candidates are verified against the signature table via the
 size-adaptive pair join."""
 
@@ -23,8 +24,7 @@ from ..functions.hashing import hamming_band_keys, hamming_u64
 
 
 def simhash_hamming_pairs(sig_ds, *, max_ham: int = 3,
-                          id_col: str = "doc_id", sim_col: str = "simhash",
-                          driver_max: int = 200_000):
+                          id_col: str = "doc_id", sim_col: str = "simhash"):
     """(id, simhash:int64) dataset -> every unordered pair with Hamming
     distance <= ``max_ham`` (exact, by pigeonhole over ``max_ham + 1``
     bands), sorted by (left_id, right_id)."""
@@ -44,8 +44,7 @@ def simhash_hamming_pairs(sig_ds, *, max_ham: int = 3,
         })
 
     pairs = bucket_pairs(sig_ds.map_batches(postings, batch_format="pyarrow"),
-                         lambda t: all_pairs(t, "band", "id"), key="band",
-                         driver=sig_ds.count() <= driver_max)
+                         lambda t: all_pairs(t, "band", "id"), key="band")
     joined = hash_join_pairs(pairs, sig_ds, id_col=id_col,
                              payload_cols=[sim_col])
 

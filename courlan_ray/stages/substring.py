@@ -24,8 +24,8 @@ Scale shape (the 100 TB path):
     hash of every width-gram (``char_shingle_hashes``), per-segment
     sort+unique, no Python per row.
   - postings: narrow (gram:int64, doc_id) rows through ``lsh.bucket_pairs``
-    with the all-pairs emit — one driver pass up to ``driver_max`` docs,
-    ONE keyed exchange on gram above.  Each shared gram lies wholly in
+    with the all-pairs emit — one driver pass while the postings fit one
+    task, ONE keyed exchange on gram above.  Each shared gram lies wholly in
     one bucket and emits one row per pair, so the engine's exact per-pair
     count IS the shared-gram count.
 
@@ -126,7 +126,6 @@ def _hot_lineage(postings, cap: int, lineage: dict) -> None:
 
 def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
                     text_col: str = "text", seed: int = 37,
-                    driver_max: int = 100_000,
                     hot_gram_max: int | None = None,
                     lineage: dict | None = None):
     """Dataset -> exact shared-substring pair table
@@ -169,8 +168,7 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
 
     sig = ds.map_batches(sig_kernel, batch_format="pyarrow",
                          batch_size=256).materialize()
-    n_docs = sig.count()
-    if n_docs == 0:
+    if sig.count() == 0:
         # a fully-empty input can collect schema-less (no blocks); emit the
         # typed empty directly (int64 ids — the documents-table id type)
         return rd.from_arrow(pa.table({
@@ -182,15 +180,13 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
     if hot_gram_max is not None and lineage is not None:
         postings = postings.materialize()
         _hot_lineage(postings, hot_gram_max, lineage)
-    pairs = bucket_pairs(postings, emit, key="gram",
-                         driver=n_docs <= driver_max)
+    pairs = bucket_pairs(postings, emit, key="gram")
     return pairs.rename_columns({"n": "shared_grams"}) \
                 .sort(["left_id", "right_id"])
 
 
 def substring_lcs(ds, *, width: int = 32, id_col: str = "doc_id",
                   text_col: str = "text", seed: int = 37,
-                  driver_max: int = 100_000,
                   hot_gram_max: int | None = None,
                   lineage: dict | None = None):
     """Dataset -> (left_id, right_id, lcs_len) for every pair sharing an
@@ -205,7 +201,6 @@ def substring_lcs(ds, *, width: int = 32, id_col: str = "doc_id",
 
     pairs = substring_pairs(ds, width=width, id_col=id_col,
                             text_col=text_col, seed=seed,
-                            driver_max=driver_max,
                             hot_gram_max=hot_gram_max, lineage=lineage
                             ).drop_columns(["shared_grams"]).materialize()
     if pairs.count() == 0:

@@ -44,9 +44,7 @@ def topk_rows(ds, sort_keys: list[tuple[str, str]], k: int, *,
 
 def topk_per_group(ds, group_keys: list[str],
                    sort_keys: list[tuple[str, str]], k: int, *,
-                   fanout: int = 8, mode: str = "auto",
-                   approx_groups: int | None = None,
-                   rank_col: str | None = None):
+                   fanout: int = 8, rank_col: str | None = None):
     """Exact top-k rows PER GROUP (the "best N documents per domain"
     operator): SQL's ``row_number() OVER (PARTITION BY ... ORDER BY ...)
     <= k`` without a global sort.
@@ -54,12 +52,10 @@ def topk_per_group(ds, group_keys: list[str],
     Per-group top-k is associative like global top-k, so the plan is the
     same partial/combine shape: each block keeps its local top-k per group
     (one group-major vectorized sort + segmented rank, no per-group loop),
-    then either a fanout combine tree (small group count) or ONE keyed
-    exchange on ``group_keys`` (``joins.keyed_map``) + a final per-block
-    pass (every group lands wholly in one block — the 10^9-groups
-    topology).
-    Routing follows the declared-cardinality contract of
-    ``stages/agg.resolve_agg_mode``: declare ``approx_groups`` at scale.
+    then either a fanout combine tree (the input fits one task) or ONE
+    keyed exchange on ``group_keys`` (``joins.keyed_map``) + a final
+    per-block pass (every group lands wholly in one block — the
+    10^9-groups topology); ``agg.tree_or_keyed`` picks the side.
 
     ``sort_keys`` must totally order rows within a group (append a unique
     id) for deterministic, oracle-comparable output.
@@ -69,7 +65,7 @@ def topk_per_group(ds, group_keys: list[str],
     local kernel re-stamps at every tree level / the final per-partition
     pass, so the LAST application — which sees each group whole — wins;
     intermediate stamps are recomputed, never trusted."""
-    from .agg import resolve_agg_mode
+    from .agg import tree_or_keyed
 
     order = [(g, "ascending") for g in group_keys] + list(sort_keys)
 
@@ -99,13 +95,4 @@ def topk_per_group(ds, group_keys: list[str],
             t = t.append_column(rank_col, pa.array(pos[keep] + 1))
         return t
 
-    if mode == "auto":
-        mode = resolve_agg_mode(ds, approx_groups)
-    if mode == "shuffle":
-        from .joins import keyed_map
-        pre = ds.map_batches(local, batch_format="pyarrow",
-                             batch_size=None)
-        return keyed_map(pre, group_keys, local)
-
-    from .agg import combine_tree
-    return combine_tree(ds, local, fanout=fanout)
+    return tree_or_keyed(ds, group_keys, local, local, fanout=fanout)

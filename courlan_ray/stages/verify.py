@@ -2,8 +2,9 @@
 
 Attaches the (narrow) signature table to both sides of each candidate
 pair with ``stages.joins.hash_join_pairs`` — a broadcast probe when the
-signature side is small, two partitioned sort-merge joins at scale (SURVEY.md
-§2.5; the size switch is ``cfg.verify_broadcast_max``) — then verifies
+signature side fits one task, two partitioned sort-merge joins at scale
+(SURVEY.md §2.5; ``cfg.verify_broadcast_max`` caps the probe's rows) —
+then verifies
 each pair with vectorized kernels:
 
 - caption channel: estimated Jaccard (fraction of agreeing MinHash perms)
@@ -217,9 +218,9 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
     (jaccard, ham_phash, ham_simpix, substr_ratio, verified:bool).
 
     Signatures attach to both pair sides via ``hash_join_pairs``: a
-    broadcast probe up to ``cfg.verify_broadcast_max`` signature rows and
-    ``joins.BROADCAST_MAX_BYTES``, two partitioned sort-merge joins above
-    either (no driver materialization)."""
+    broadcast probe while the signature side fits one task and has at most
+    ``cfg.verify_broadcast_max`` rows, two partitioned sort-merge joins
+    otherwise (no driver materialization)."""
     from ray.data.dataset import MaterializedDataset
     from .joins import cluster_cpus, hash_join_pairs, sliced
 
@@ -240,7 +241,7 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
     attached = hash_join_pairs(
         pairs_ds, sig_ds.select_columns(["image_id"] + cols),
         id_col="image_id", payload_cols=cols,
-        broadcast_max=cfg.verify_broadcast_max)
+        max_rows=cfg.verify_broadcast_max)
 
     def kernel(batch: pa.Table) -> pa.Table:
         n = batch.num_rows

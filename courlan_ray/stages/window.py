@@ -8,7 +8,9 @@ pipelines/queries.events_window).
 Shape: ONE keyed exchange (``joins.keyed_map``) co-locates each key in
 one block, then a per-block vectorized kernel sorts by (key, t) once
 and computes every row's window with prefix sums + one ``searchsorted``
-per key group (O(n log n) per block, no per-row Python).
+per key group (O(n log n) per block, no per-row Python).  An input that
+fits one task skips the exchange: the same kernel runs once on the
+driver over the collected input (``joins.kernel_by_key``).
 
 Hot keys: by default one key's rows must fit a block (same
 assumption as stages/asof.py).  Passing ``chunk_ns >= width_ns`` lifts
@@ -82,25 +84,15 @@ def _window_bounds(tss: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
 def rolling_window_agg(ds, *, on: str, by: str, value_col: str,
                        width_ns: int, keep_cols: list[str] | None = None,
-                       chunk_ns: int | None = None,
-                       approx_rows: int | None = None,
-                       driver_max: int = 1_000_000):
+                       chunk_ns: int | None = None):
     """Per row: count and sum of the same key's rows with
     ``t in [row.t - width, row.t]`` (inclusive both ends, matching SQL
     RANGE BETWEEN ... PRECEDING AND CURRENT ROW).  Emits ``keep_cols`` +
     ``by`` + ``on`` + ``n_window`` + ``sum_window``.
 
     ``chunk_ns``: optional hot-key time-splitting (see module docstring);
-    must be >= ``width_ns``.
-
-    ``approx_rows``: DECLARED input size (the declared-cardinality
-    contract of stages/agg.py — never measured by executing the input).
-    When declared and <= ``driver_max``, the keyed shuffle is skipped and
-    the same kernel runs once driver-side: at small row counts the
-    AllToAll launch (~1-3 s) dwarfs the vectorized kernel (~10 ms for
-    100k rows).  Undeclared or large inputs stream through the shuffle
-    unchanged."""
-    from .joins import keyed_map, safe_combine
+    must be >= ``width_ns``."""
+    from .joins import kernel_by_key, safe_combine
 
     if chunk_ns is not None and chunk_ns < width_ns:
         raise ValueError("chunk_ns must be >= width_ns (a window may span "
@@ -178,26 +170,17 @@ def rolling_window_agg(ds, *, on: str, by: str, value_col: str,
         return pa.table(cols)
 
     pre = ds.map_batches(explode, batch_format="pyarrow") if chunked else ds
-    if approx_rows is not None and approx_rows <= driver_max:
-        import ray.data as rd
-        from .joins import _collect
-        tbl = _collect(pre)
-        if tbl.num_columns:       # schema-less empty -> shuffle path
-            return rd.from_arrow(kernel(tbl))
-    return keyed_map(pre, [by, "__chunk"] if chunked else [by], kernel)
+    return kernel_by_key(pre, [by, "__chunk"] if chunked else [by], kernel)
 
 
 def sessionize(ds, *, on: str, by: str, gap_ns: int,
-               keep_cols: list[str] | None = None,
-               approx_rows: int | None = None,
-               driver_max: int = 1_000_000):
+               keep_cols: list[str] | None = None):
     """Gap-based sessionization: per key (ordered by t), a new session
     starts when the gap to the previous row exceeds ``gap_ns``.  Emits
     ``keep_cols`` + ``by`` + ``on`` + ``session_num`` (1-based per key)
-    + ``session_id`` (key-qualified string).  Same single-keyed-shuffle
-    shape, partitioning assumption, and declared-size driver
-    short-circuit (``approx_rows``) as ``rolling_window_agg``."""
-    from .joins import keyed_map, safe_combine
+    + ``session_id`` (key-qualified string).  Same shape, partitioning
+    assumption and one-task driver side as ``rolling_window_agg``."""
+    from .joins import kernel_by_key, safe_combine
 
     keep = keep_cols or []
 
@@ -236,10 +219,4 @@ def sessionize(ds, *, on: str, by: str, gap_ns: int,
             pa.string())
         return pa.table(cols)
 
-    if approx_rows is not None and approx_rows <= driver_max:
-        import ray.data as rd
-        from .joins import _collect
-        tbl = _collect(ds)
-        if tbl.num_columns:       # schema-less empty -> shuffle path
-            return rd.from_arrow(kernel(tbl))
-    return keyed_map(ds, [by], kernel)
+    return kernel_by_key(ds, [by], kernel)

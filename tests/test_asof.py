@@ -7,6 +7,16 @@ import pytest
 import ray.data as rd
 
 from courlan_ray.stages.asof import asof_join
+from courlan_ray.stages.joins import exchanges_only
+
+
+@pytest.fixture(autouse=True)
+def _keyed_side():
+    """Pin the keyed-exchange side of these stages against pandas and
+    brute force; inputs this small take the driver side by default, and
+    tests/test_both_sides.py holds the two sides equal."""
+    with exchanges_only():
+        yield
 
 
 def _frames(seed=3, n_l=400, n_r=150, n_keys=12):
@@ -222,54 +232,6 @@ def test_asof_chunk_requires_tolerance():
             rd.from_arrow(pa.Table.from_pandas(right, preserve_index=False)),
             on="t", by="k", left_cols=["lid"], right_cols=["rv"],
             tolerance_ns=200, chunk_ns=100)
-
-
-def test_driver_shortcircuit_parity():
-    """approx_rows <= driver_max (driver-side single kernel) produces
-    byte-identical results to the keyed-shuffle path for asof, rolling
-    window, and sessionize."""
-    from courlan_ray.stages.window import rolling_window_agg, sessionize
-
-    rng = np.random.default_rng(21)
-    n = 3000
-    ev = pd.DataFrame({
-        "k": rng.integers(0, 25, n).astype(np.int64),
-        "t": rng.integers(0, 100_000, n).astype(np.int64),
-        "eid": np.arange(n, dtype=np.int64),
-        "v": np.round(rng.random(n) * 100, 2)})
-    ds = lambda: rd.from_arrow(pa.Table.from_pandas(ev, preserve_index=False))
-
-    for kw_small, kw_big in [({"approx_rows": n}, {})]:
-        a = rolling_window_agg(ds(), on="t", by="k", value_col="v",
-                               width_ns=5_000, keep_cols=["eid"],
-                               **kw_small).to_pandas()
-        b = rolling_window_agg(ds(), on="t", by="k", value_col="v",
-                               width_ns=5_000, keep_cols=["eid"],
-                               **kw_big).to_pandas()
-        pd.testing.assert_frame_equal(
-            a.sort_values("eid").reset_index(drop=True),
-            b.sort_values("eid").reset_index(drop=True))
-
-        a = sessionize(ds(), on="t", by="k", gap_ns=2_000,
-                       keep_cols=["eid"], **kw_small).to_pandas()
-        b = sessionize(ds(), on="t", by="k", gap_ns=2_000,
-                       keep_cols=["eid"], **kw_big).to_pandas()
-        pd.testing.assert_frame_equal(
-            a.sort_values("eid").reset_index(drop=True),
-            b.sort_values("eid").reset_index(drop=True))
-
-    right = ev.rename(columns={"v": "rv"}).drop_duplicates(["k", "t"])
-    rds = lambda: rd.from_arrow(pa.Table.from_pandas(
-        right[["k", "t", "rv"]], preserve_index=False))
-    a = asof_join(ds(), rds(), on="t", by="k", left_cols=["eid"],
-                  right_cols=["rv"], strict=True, right_suffix="",
-                  approx_rows=2 * n).to_pandas()
-    b = asof_join(ds(), rds(), on="t", by="k", left_cols=["eid"],
-                  right_cols=["rv"], strict=True,
-                  right_suffix="").to_pandas()
-    pd.testing.assert_frame_equal(
-        a.sort_values("eid").reset_index(drop=True),
-        b.sort_values("eid").reset_index(drop=True))
 
 
 def test_segmented_kernels_match_bruteforce_random():

@@ -8,6 +8,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from courlan_ray.stages.joins import exchanges_only
 from courlan_ray.stages.ngram_jaccard import ngram_jaccard_pairs
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)?")
@@ -41,44 +42,39 @@ TEXTS = [
 ]
 
 
-def _run(threshold, driver_max):
+def _run(threshold):
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(len(TEXTS)), pa.int64()),
         "text": pa.array(TEXTS)}))
-    out = ngram_jaccard_pairs(ds, n=3, threshold=threshold,
-                              driver_max=driver_max).to_pandas()
+    out = ngram_jaccard_pairs(ds, n=3, threshold=threshold).to_pandas()
     return sorted(zip(out["left_id"], out["right_id"], out["jaccard"]))
 
 
 @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
 def test_matches_bruteforce_driver_path(threshold):
-    assert _run(threshold, driver_max=100_000) == _brute(TEXTS, threshold)
-
-
-def test_scale_path_equals_driver_path():
-    # driver_max=0 forces the keyed-shuffle + pair-join path
-    assert _run(0.5, driver_max=0) == _run(0.5, driver_max=100_000)
+    assert _run(threshold) == _brute(TEXTS, threshold)
 
 
 def test_exact_dup_scores_one():
-    pairs = {(l, r): j for l, r, j in _run(0.99, driver_max=100_000)}
+    pairs = {(l, r): j for l, r, j in _run(0.99)}
     assert pairs[(0, 3)] == 1.0
 
 
 @pytest.mark.slow
 def test_scale_path_parity_on_real_corpus():
-    """Driver path vs keyed-shuffle path on the sf0.01 documents table
+    """Driver side vs keyed-exchange side on the sf0.01 documents table
     (500 docs, 25 planted near-dup pairs)."""
     import ray.data as rd
 
-    def run(driver_max):
+    def run():
         ds = rd.read_parquet("/root/testdata/sf0.01/documents.parquet",
                              columns=["doc_id", "text"])
-        out = ngram_jaccard_pairs(ds, n=3, threshold=0.5,
-                                  driver_max=driver_max).to_pandas()
+        out = ngram_jaccard_pairs(ds, n=3, threshold=0.5).to_pandas()
         return sorted(zip(out["left_id"], out["right_id"], out["jaccard"]))
 
-    a, b = run(100_000), run(0)
+    a = run()
+    with exchanges_only():
+        b = run()
     assert a == b and len(a) == 25
 
 
@@ -89,8 +85,8 @@ def test_string_ids_scale_path():
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array([f"d{i}" for i in range(len(TEXTS))]),
         "text": pa.array(TEXTS)}))
-    out = ngram_jaccard_pairs(ds, n=3, threshold=0.5,
-                              driver_max=0).to_pandas()
+    with exchanges_only():
+        out = ngram_jaccard_pairs(ds, n=3, threshold=0.5).to_pandas()
     got = {(l, r) for l, r in zip(out["left_id"], out["right_id"])}
     assert ("d0", "d3") in got and ("d0", "d1") in got
 

@@ -237,36 +237,51 @@ def test_verify_agrees_across_size_switch():
     assert small["verified"].any()
 
 
-def test_agg_mode_resolution_and_shuffle_path():
-    """VERDICT round 1 #5: a lazy input with declared cardinality above
-    TREE_MAX_GROUPS must route to the keyed-shuffle path, and that path
-    must produce the same result as the tree."""
+@pytest.mark.parametrize("stage", ["grouped_agg", "topk_per_group"])
+def test_lazy_grouped_input_routes_by_partial_bytes(stage, monkeypatch):
+    """A lazy input is measured on its materialized partials: partials
+    over ``SMALL_BYTES`` take the keyed exchange, small ones the combine
+    tree, and both give the pandas answer."""
     import ray.data as rd
-    from courlan_ray.stages.agg import grouped_agg, resolve_agg_mode
+    from courlan_ray.stages import joins
+    from courlan_ray.stages.agg import grouped_agg
+    from courlan_ray.stages.topk import topk_per_group
 
-    df = pd.DataFrame({"k": ["a", "b", "a", "c", "b", "a"],
-                       "v": [1, 2, 3, 4, 5, 6]})
-    lazy = rd.from_pandas(df).map_batches(lambda b: b,
-                                          batch_format="pyarrow")
-    # routing contract
-    assert resolve_agg_mode(lazy, approx_count=10**9) == "shuffle"
-    assert resolve_agg_mode(lazy, approx_count=100) == "tree"
-    assert resolve_agg_mode(lazy, approx_count=None) == "tree"
-    big = rd.from_pandas(df).materialize()
-    assert resolve_agg_mode(big, None, tree_max_groups=2) == "shuffle"
+    calls = []
+    keyed_map = joins.keyed_map
+    monkeypatch.setattr(joins, "keyed_map",
+                        lambda *a: calls.append(a[1]) or keyed_map(*a))
+    monkeypatch.setattr(joins, "SMALL_BYTES", 4096)
 
-    # both paths agree
-    expect = {"a": 1, "b": 2, "c": 4}
-    for mode in ("tree", "shuffle"):
-        out = grouped_agg(lazy, ["k"], [("v", "min", "v_min")], mode=mode)
-        got = {r["k"]: r["v_min"] for r in out.take_all()}
-        assert got == expect, (mode, got)
+    def run(n_groups):
+        df = pd.DataFrame({"k": np.arange(2000) % n_groups,
+                           "v": np.arange(2000)[::-1]})
+        lazy = rd.from_pandas(df).repartition(4).map_batches(
+            lambda b: b, batch_format="pyarrow")
+        if stage == "grouped_agg":
+            got = grouped_agg(lazy, ["k"], [("v", "min", "v")]).to_pandas()
+            want = df.groupby("k", as_index=False)["v"].min()
+        else:
+            got = topk_per_group(lazy, ["k"], [("v", "ascending")], 1) \
+                .to_pandas()
+            want = df.sort_values("v").groupby("k").head(1)
+        pd.testing.assert_frame_equal(
+            got.sort_values("k").reset_index(drop=True),
+            want.sort_values("k").reset_index(drop=True), check_dtype=False)
+
+    run(3)                  # 3 groups: partials far under 4 KiB
+    assert calls == []
+    run(1000)               # 1,000 groups: ~16 KB of partials
+    assert calls == [["k"]]
 
 
 def test_topk_per_group_rank_col_both_modes():
     """rank_col stamps SQL row_number() per group; parity vs pandas on
-    both the combine-tree and keyed-shuffle routes (VERDICT r3 next #3)."""
+    both the combine-tree and keyed-exchange sides (VERDICT r3 next #3)."""
+    import contextlib
+
     import ray.data as rd
+    from courlan_ray.stages.joins import exchanges_only
     from courlan_ray.stages.topk import topk_per_group
     rng = np.random.default_rng(11)
     df = pd.DataFrame({
@@ -276,11 +291,12 @@ def test_topk_per_group_rank_col_both_modes():
     want = df.sort_values(["g", "v", "id"]).groupby("g").head(3).copy()
     want["rk"] = want.groupby("g").cumcount() + 1
     want = want.sort_values("id").reset_index(drop=True)
-    for mode in ["tree", "shuffle"]:
-        got = topk_per_group(
-            rd.from_pandas(df).repartition(7), ["g"],
-            [("v", "ascending"), ("id", "ascending")], 3,
-            mode=mode, rank_col="rk").to_pandas()
+    for side in (contextlib.nullcontext(), exchanges_only()):
+        with side:
+            got = topk_per_group(
+                rd.from_pandas(df).repartition(7), ["g"],
+                [("v", "ascending"), ("id", "ascending")], 3,
+                rank_col="rk").to_pandas()
         got = got.sort_values("id").reset_index(drop=True)[want.columns]
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
@@ -421,15 +437,14 @@ def test_hash_join_pairs_broadcast_matches_ids_exactly(monkeypatch):
 
 
 def test_hash_join_pairs_byte_budget_uses_partitioned_join(monkeypatch):
-    """A payload over BROADCAST_MAX_BYTES goes to the partitioned joins even
-    when its row count fits ``broadcast_max``: nothing is collected to the
-    driver."""
+    """A payload over ``SMALL_BYTES`` goes to the partitioned joins even
+    when it has few rows: nothing is collected to the driver."""
     from courlan_ray.stages import joins
 
     def no_collect(ds):
         raise AssertionError("payload broadcast over the byte budget")
 
-    monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 1)
+    monkeypatch.setattr(joins, "SMALL_BYTES", 1)
     monkeypatch.setattr(joins, "_collect", no_collect)
     payload = pa.table({
         "image_id": ["a", "b", "c", "d"],
@@ -458,7 +473,8 @@ def test_partitioned_joins_hold_on_empty_blocks(layout, op):
     """The partitioned ``Dataset.join`` paths of attach_by_key and
     filter_by_keys give the pandas answer when a side's first block is
     empty or a side has no rows at all."""
-    from courlan_ray.stages.joins import _collect, attach_by_key, filter_by_keys
+    from courlan_ray.stages.joins import (_collect, attach_by_key,
+                                          exchanges_only, filter_by_keys)
     empty_l, empty_r = _JOIN_LEFT.slice(0, 0), _JOIN_RIGHT.slice(0, 0)
     left_blocks = {"left_first_empty": [empty_l, _JOIN_LEFT],
                    "right_first_empty": [_JOIN_LEFT],
@@ -470,14 +486,15 @@ def test_partitioned_joins_hold_on_empty_blocks(layout, op):
     lp = pa.concat_tables(left_blocks).to_pandas()
     rp = _JOIN_RIGHT.to_pandas()
 
-    if op.startswith("attach"):
-        how = op.split("_")[1]
-        got = attach_by_key(left, right, ["k"], broadcast_max=0, how=how)
-        want = lp.merge(rp, on="k", how=how)
-    else:
-        keep = op == "filter_keep"
-        got = filter_by_keys(left, right, "k", keep=keep, broadcast_max=0)
-        want = lp[lp["k"].isin(rp["k"]) == keep]
+    with exchanges_only():
+        if op.startswith("attach"):
+            how = op.split("_")[1]
+            got = attach_by_key(left, right, ["k"], how=how)
+            want = lp.merge(rp, on="k", how=how)
+        else:
+            keep = op == "filter_keep"
+            got = filter_by_keys(left, right, "k", keep=keep)
+            want = lp[lp["k"].isin(rp["k"]) == keep]
     got = _collect(got).to_pandas()
     assert len(got) == len(want)
     if want.empty:      # a Ray map over an empty block drops its schema
@@ -628,3 +645,40 @@ def test_local_stars_links_members_to_group_min():
     key = ["bucket", "salt", "image_id"]
     assert sorted(map(tuple, edges[key].values)) == \
         sorted(map(tuple, members[key].values))
+
+
+def test_link_all_clusters_survive_idh_collisions():
+    """``idh`` only picks each bucket's level-2 hub: with every rep's
+    ``idh`` overwritten by one constant, ``_link_all``'s edges give the
+    same components as with the real hashes."""
+    from courlan_ray.stages.components import driver_union_find
+    from courlan_ray.stages.lsh import _link_all, _local_stars
+    rng = np.random.default_rng(5)
+    cfg = DedupConfig(channels=("minhash", "phash"), num_salts=4)
+    n = 60
+    templates = rng.integers(0, 2**31, (6, cfg.num_perm), dtype=np.int32)
+    mh = templates[rng.integers(0, 6, n)]       # planted duplicate groups
+    mh[::7, :cfg.rows_per_band] += 1
+    ids = [f"id{i:02d}" for i in rng.permutation(n)]
+    blocks = [pa.table({
+        "image_id": ids[lo:lo + 20],
+        "minhash": pa.FixedSizeListArray.from_arrays(
+            pa.array(mh[lo:lo + 20].ravel(), pa.int32()), cfg.num_perm),
+        "phash": pa.array(rng.choice([7, 7 | (1 << 40), 99], 20), pa.int64()),
+        "decode_ok": pa.array(rng.random(20) < 0.8),
+    }) for lo in range(0, n, 20)]
+    st1 = pa.concat_tables(_local_stars(b, cfg) for b in blocks)
+    is_rep = st1["is_rep"].to_numpy(zero_copy_only=False)
+    reps = pd.Series(st1["bucket"].to_numpy()[is_rep]).value_counts()
+    assert (reps > 1).any()             # some bucket has several hubs to pick
+
+    def clusters(tbl):
+        edges = _link_all(tbl, cfg.weak_bucket_cap).to_pandas()
+        assert len(edges)
+        return driver_union_find(edges).sort_values("image_id") \
+            .reset_index(drop=True)
+
+    idh = st1["idh"].to_numpy()
+    same = st1.set_column(st1.schema.get_field_index("idh"), "idh",
+                          pa.array(np.where(is_rep, 12345, idh), pa.int64()))
+    pd.testing.assert_frame_equal(clusters(st1), clusters(same))

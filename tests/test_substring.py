@@ -9,6 +9,7 @@ driver-vs-shuffle path parity, and the DuckDB oracle twin."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from courlan_ray.functions.suffixarray import (lcp_of_pairs, lcs_len,
                                                lcs_len_sa, suffix_array,
                                                suffix_array_with_ranks)
+from courlan_ray.stages.joins import exchanges_only
 from courlan_ray.stages.verify import _lcs_len
 
 
@@ -156,13 +158,6 @@ def test_substring_pairs_planted_and_invariant(docs_ds):
         assert r.shared_grams == len(ga & gb)
 
 
-def test_substring_pairs_path_parity(docs_ds):
-    from courlan_ray.stages.substring import substring_pairs
-    a = substring_pairs(docs_ds, width=16, seed=5).to_pandas()
-    b = substring_pairs(docs_ds, width=16, seed=5, driver_max=0).to_pandas()
-    assert a.reset_index(drop=True).equals(b.reset_index(drop=True))
-
-
 def test_substring_lcs_exact_and_bounded(docs_ds):
     from courlan_ray.stages.substring import substring_lcs
     width = 16
@@ -173,8 +168,8 @@ def test_substring_lcs_exact_and_bounded(docs_ds):
         want = _lcs_len(texts[int(r.left_id)].encode(),
                         texts[int(r.right_id)].encode())
         assert int(r.lcs_len) == want
-    scale = substring_lcs(docs_ds, width=width, seed=5,
-                          driver_max=0).to_pandas()
+    with exchanges_only():
+        scale = substring_lcs(docs_ds, width=width, seed=5).to_pandas()
     assert got.reset_index(drop=True).equals(scale.reset_index(drop=True))
 
 
@@ -233,10 +228,11 @@ def test_substring_pairs_hot_gram_cap(ray_session):
     full = substring_pairs(ds, width=width, seed=5).to_pandas()
     assert len(full) == 45
 
-    for dmax in (100_000, 0):          # driver path / keyed-shuffle path
+    for forced in (False, True):       # driver side / keyed-exchange side
         lin: dict = {}
-        got = substring_pairs(ds, width=width, seed=5, hot_gram_max=5,
-                              lineage=lin, driver_max=dmax).to_pandas()
+        with exchanges_only() if forced else contextlib.nullcontext():
+            got = substring_pairs(ds, width=width, seed=5, hot_gram_max=5,
+                                  lineage=lin).to_pandas()
         assert set(zip(got.left_id, got.right_id)) == {(3, 7)}
         # dropped-gram accounting is exact: every header gram (31 of
         # them at width 32 over the 62-byte header+space prefix... count

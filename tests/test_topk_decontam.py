@@ -58,13 +58,18 @@ def _pergroup_truth(df, k=2):
 
 @pytest.mark.parametrize("mode", ["tree", "shuffle"])
 def test_topk_per_group_matches_window_function(mode):
+    import contextlib
+
+    from courlan_ray.stages.joins import exchanges_only
     rng = np.random.default_rng(11)
     df = pd.DataFrame({"g": rng.integers(0, 40, 600),
                        "v": rng.integers(0, 30, 600),
                        "id": np.arange(600)})
-    got = topk_per_group(_ds(df, 9), ["g"],
-                         [("v", "descending"), ("id", "ascending")], 2,
-                         mode=mode).to_pandas()
+    side = exchanges_only() if mode == "shuffle" else contextlib.nullcontext()
+    with side:
+        got = topk_per_group(_ds(df, 9), ["g"],
+                             [("v", "descending"), ("id", "ascending")],
+                             2).to_pandas()
     got = got.sort_values(["g", "v", "id"],
                           ascending=[True, False, True]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, _pergroup_truth(df))
