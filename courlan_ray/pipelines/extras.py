@@ -282,7 +282,7 @@ def doc_decontaminate(sf_dir: str, n: int = 8):
     grams = benchmark_gram_hashes(ds, "text", n=n, seed=41,
                                   pre=_bench_slice(True))
     return contamination_counts(ds, grams, "doc_id", "text", n=n, seed=41,
-                                pre=_bench_slice(False)).sort("doc_id")
+                                pre=_bench_slice(False))
 
 
 def doc_token_postings(sf_dir: str):
@@ -307,7 +307,7 @@ def doc_token_postings(sf_dir: str):
 
     pairs = ds.map_batches(explode, batch_format="pyarrow", batch_size=None)
     return grouped_concat(pairs, ["token"], "doc_id", out_col="postings",
-                          count_col="df").sort("token")
+                          count_col="df")
 
 
 def doc_quality_band(sf_dir: str):
@@ -330,8 +330,7 @@ def doc_quality_band(sf_dir: str):
         return b.filter(pc.and_(pc.greater_equal(v, lo),
                                 pc.less_equal(v, hi)))
 
-    return dq.map_batches(band, batch_format="pyarrow",
-                          batch_size=None).sort("doc_id")
+    return dq.map_batches(band, batch_format="pyarrow", batch_size=None)
 
 
 def doc_train_split(sf_dir: str):
@@ -348,8 +347,7 @@ def doc_train_split(sf_dir: str):
         return pa.table({"doc_id": b["doc_id"],
                          "split": pa.array(split, pa.string())})
 
-    return ds.map_batches(assign, batch_format="pyarrow",
-                          batch_size=None).sort("doc_id")
+    return ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
 
 
 def doc_top_term(sf_dir: str):
@@ -398,7 +396,7 @@ def doc_top_term(sf_dir: str):
         score, batch_format="pandas", batch_size=None)
     return topk_per_group(scored, ["doc_id"],
                           [("score", "descending"), ("token", "ascending")],
-                          1).sort("doc_id")
+                          1)
 
 
 def doc_repetition(sf_dir: str):
@@ -488,8 +486,7 @@ def doc_pack_assign(sf_dir: str, budget: int = 512):
         return pa.table({"doc_id": b["doc_id"], "n_tokens": b["n_tokens"],
                          "pack_id": pa.array(pid.astype(np.int64))})
 
-    return run.map_batches(packs, batch_format="pyarrow",
-                           batch_size=None).sort("doc_id")
+    return run.map_batches(packs, batch_format="pyarrow", batch_size=None)
 
 
 def events_value_quantiles_by_type(sf_dir: str):
@@ -500,7 +497,7 @@ def events_value_quantiles_by_type(sf_dir: str):
     from ..stages.quantiles import grouped_quantiles
     ds = _read(sf_dir, "events", ["event_type", "value"])
     return grouped_quantiles(ds, ["event_type"], "value",
-                             [0.25, 0.5, 0.75]).sort(["event_type", "q"])
+                             [0.25, 0.5, 0.75])
 
 
 def events_hll_users_by_type(sf_dir: str):
@@ -511,8 +508,7 @@ def events_hll_users_by_type(sf_dir: str):
     pinned in tests/test_topk_decontam.py."""
     from ..stages.sketch import hll_distinct_by_key
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    return hll_distinct_by_key(ds, "event_type",
-                               "user_id").sort("event_type")
+    return hll_distinct_by_key(ds, "event_type", "user_id")
 
 
 def orders_bloom_semi_negbal(sf_dir: str):
@@ -532,8 +528,7 @@ def orders_bloom_semi_negbal(sf_dir: str):
     keyed = neg.map_batches(
         lambda b: b.rename_columns(["o_custkey"]),
         batch_format="pyarrow", batch_size=None)
-    return bloom_semi_filter(orders, keyed, "o_custkey",
-                             keep=True).sort("o_orderkey")
+    return bloom_semi_filter(orders, keyed, "o_custkey", keep=True)
 
 
 def events_top3_per_user(sf_dir: str):
@@ -543,11 +538,9 @@ def events_top3_per_user(sf_dir: str):
     oracle (EXTRA_ORACLES['events_top3_per_user'])."""
     from ..stages.topk import topk_per_group
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
-    out = topk_per_group(ds, ["user_id"],
-                         [("value", "descending"),
-                          ("event_id", "ascending")], 3)
-    return out.sort(["user_id", "value", "event_id"],
-                    descending=[False, True, False])
+    return topk_per_group(ds, ["user_id"],
+                          [("value", "descending"),
+                           ("event_id", "ascending")], 3)
 
 
 def doc_top_tokens_approx(sf_dir: str, k: int = 20):
@@ -691,9 +684,8 @@ def events_distinct_types(sf_dir: str):
 
     pairs = ds.map_batches(local_distinct, batch_format="pyarrow")
     pairs = grouped_agg(pairs, ["user_id", "event_type"], [])  # distinct
-    out = grouped_agg(pairs, ["user_id"],
-                      [("event_type", "count", "n_types")])
-    return out.sort("user_id")
+    return grouped_agg(pairs, ["user_id"],
+                       [("event_type", "count", "n_types")])
 
 
 def orders_price_quantiles(sf_dir: str):
@@ -715,8 +707,7 @@ def orders_price_bands(sf_dir: str):
     iv = pa.table({"lo": pa.array([b[0] for b in _PRICE_BANDS]),
                    "hi": pa.array([b[1] for b in _PRICE_BANDS]),
                    "band": pa.array([b[2] for b in _PRICE_BANDS])})
-    out = range_join_broadcast(ds, iv, "o_totalprice", closed="left")
-    return out.sort(["o_orderkey", "band"])
+    return range_join_broadcast(ds, iv, "o_totalprice", closed="left")
 
 
 def events_rolling_1h(sf_dir: str):
@@ -726,10 +717,9 @@ def events_rolling_1h(sf_dir: str):
     from ..stages.window import rolling_window_agg
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     # events ts is timestamp[us] -> width in microseconds
-    out = rolling_window_agg(ds, on="ts", by="user_id", value_col="value",
-                             width_ns=3_600_000_000,
-                             keep_cols=["event_id"])
-    return out.sort("event_id")
+    return rolling_window_agg(ds, on="ts", by="user_id", value_col="value",
+                              width_ns=3_600_000_000,
+                              keep_cols=["event_id"])
 
 
 def events_sessionize(sf_dir: str):
@@ -738,10 +728,9 @@ def events_sessionize(sf_dir: str):
     Full DuckDB oracle (lag + running-sum window)."""
     from ..stages.window import sessionize
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    out = sessionize(ds, on="ts", by="user_id",
-                     gap_ns=1_800_000_000,        # ts is timestamp[us]
-                     keep_cols=["event_id"])
-    return out.sort("event_id")
+    return sessionize(ds, on="ts", by="user_id",
+                      gap_ns=1_800_000_000,        # ts is timestamp[us]
+                      keep_cols=["event_id"])
 
 
 def events_asof_prev_click(sf_dir: str):
@@ -760,11 +749,10 @@ def events_asof_prev_click(sf_dir: str):
 
     clicks = clicks.map_batches(mk, batch_format="pyarrow")
     ev = ev.select_columns(["event_id", "ts", "user_id"])
-    out = asof_join(ev, clicks, on="ts", by="user_id",
-                    left_cols=["event_id"],
-                    right_cols=["prev_click_ts", "prev_click_value"],
-                    strict=True, right_suffix="")
-    return out.sort("event_id")
+    return asof_join(ev, clicks, on="ts", by="user_id",
+                     left_cols=["event_id"],
+                     right_cols=["prev_click_ts", "prev_click_value"],
+                     strict=True, right_suffix="")
 
 
 def events_rolling_1h_shuffle(sf_dir: str):
@@ -866,8 +854,7 @@ def doc_training_prep(sf_dir: str):
         return b.append_column("split", pa.array(split, pa.string()))
 
     return (joined.drop_columns(["image_id"])
-            .map_batches(add_split, batch_format="pyarrow",
-                         batch_size=None).sort("doc_id"))
+            .map_batches(add_split, batch_format="pyarrow", batch_size=None))
 
 
 _IMG_MEMO: dict[str, dict] = {}
@@ -919,7 +906,7 @@ def audio_decode_stats(sf_dir: str):
     decode_ok rate, duration, rms (rows-only; deterministic)."""
     from ..stages.multimodal import audio_features
     out = audio_features(_audio_ds(sf_dir), DedupConfig())
-    return out.drop_columns(["features"]).sort("audio_id")
+    return out.drop_columns(["features"])
 
 
 def audio_durations(sf_dir: str):
@@ -929,8 +916,7 @@ def audio_durations(sf_dir: str):
     — a value-verified check on the audio channel's decode gating."""
     from ..stages.multimodal import audio_features
     out = audio_features(_audio_ds(sf_dir), DedupConfig())
-    return (out.select_columns(["audio_id", "decode_ok", "duration_sec"])
-               .sort("audio_id"))
+    return out.select_columns(["audio_id", "decode_ok", "duration_sec"])
 
 
 _VIDEO_ROWS = {"0.001": 150, "0.01": 400, "0.1": 1200}
@@ -963,8 +949,7 @@ def video_frame_stats(sf_dir: str):
     """Per-sampled-frame decode stats from the frame-sample map stage
     (one row per video x frame; rows-only, deterministic)."""
     from ..stages.multimodal import sample_video_frames
-    out = sample_video_frames(_video_ds(sf_dir), DedupConfig(), n_frames=3)
-    return out.sort(["video_id", "frame_idx"])
+    return sample_video_frames(_video_ds(sf_dir), DedupConfig(), n_frames=3)
 
 
 def video_frame_index(sf_dir: str):
@@ -985,8 +970,7 @@ def video_frame_index(sf_dir: str):
             "w": pc.cast(b["w"], pa.int64()),
             "h": pc.cast(b["h"], pa.int64())})
 
-    return (out.map_batches(widen, batch_format="pyarrow")
-               .sort(["video_id", "frame_idx"]))
+    return out.map_batches(widen, batch_format="pyarrow")
 
 
 _HTML_ROWS = {"0.001": 300, "0.01": 1000, "0.1": 3000}
@@ -1032,8 +1016,7 @@ def html_extract_links(sf_dir: str):
                          "url": pa.array(urls, pa.string())})
 
     links = ds.map_batches(harvest, batch_format="pyarrow")
-    out = grouped_agg(links, ["url"], [("url", "count", "n_pages")])
-    return out.sort("url")
+    return grouped_agg(links, ["url"], [("url", "count", "n_pages")])
 
 
 def image_dedup_clusters(sf_dir: str):
@@ -1044,7 +1027,7 @@ def image_dedup_clusters(sf_dir: str):
 
 def image_dedup_counters(sf_dir: str):
     """Reject-reason lineage counters of the flagship pipeline."""
-    return _image_pipeline(sf_dir)["counters"].sort("reject_reason")
+    return _image_pipeline(sf_dir)["counters"]
 
 
 def synth_inputs(sf_dir: str) -> None:

@@ -25,7 +25,8 @@ Design for scale (SURVEY.md §7.3/§7.4 + VERDICT round 1):
   but they are dropped before LSH so they add no candidate volume.
 - no stage collects the corpus on the driver unconditionally: the LSH
   cross-block link and pair verification switch to keyed exchanges /
-  partitioned joins above configured thresholds.
+  partitioned joins once their one-place side no longer fits the
+  ``stages/joins.fits_one_task`` byte budget.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..stages.exact_dedup import exact_dup_edges
 from ..stages.signatures import compute_signatures
 from ..stages.lsh import candidate_pairs
 from ..stages.verify import verify_pairs
-from ..stages.components import cluster_assignments
+from ..stages.components import EMPTY_CLUSTERS, cluster_assignments
 
 
 def dedup_pipeline(ds, cfg: DedupConfig = DEFAULT_CONFIG, *,
@@ -70,22 +71,16 @@ def dedup_pipeline(ds, cfg: DedupConfig = DEFAULT_CONFIG, *,
     # one map stage; output is the narrow per-row signature table
     sigtable = stage("sigtable",
                      lambda: compute_signatures(ds, cfg, with_gates=True))
-    if sigtable.count() == 0:           # empty input: typed empty outputs
+    valid = sigtable.filter(expr="valid == True").materialize()
+    rejected = sigtable.filter(expr="valid == False")
+    # no valid row: typed empty outputs (an empty map output loses its schema)
+    if valid.count() == 0:
         import ray.data as rd
         from ..stages.verify import _EMPTY_OUT
-        empty_clusters = rd.from_arrow(pa.table({
-            "image_id": pa.array([], pa.string()),
-            "cluster_id": pa.array([], pa.string()),
-            "cluster_size": pa.array([], pa.int64()),
-            "is_representative": pa.array([], pa.bool_())}))
-        return {"clusters": empty_clusters,
-                "rejected": sigtable,
+        return {"clusters": rd.from_arrow(EMPTY_CLUSTERS),
+                "rejected": rejected,
                 "verified_pairs": rd.from_arrow(_EMPTY_OUT),
-                "counters": rd.from_arrow(pa.table({
-                    "reject_reason": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64())}))}
-    valid = sigtable.filter(expr="valid == True")
-    rejected = sigtable.filter(expr="valid == False")
+                "counters": reject_counters(sigtable)}
 
     from ..stages.joins import filter_by_keys
 

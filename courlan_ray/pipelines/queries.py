@@ -257,7 +257,7 @@ def anti_join_customers(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
     out = filter_by_keys(cust, orders, "c_custkey", keep=False,
-                         keys_col="o_custkey").sort("c_custkey").to_pandas()
+                         keys_col="o_custkey").to_pandas()
     if out.empty:   # an all-filtered Dataset loses its schema; pin it
         out = pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
                             "c_name": pd.Series(dtype=object)})

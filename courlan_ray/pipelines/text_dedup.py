@@ -13,7 +13,7 @@ import pyarrow.compute as pc
 
 from ..config import DedupConfig
 from ..stages.lsh import candidate_pairs
-from ..stages.components import cluster_assignments
+from ..stages.components import EMPTY_CLUSTERS, cluster_assignments
 from ..stages.signatures import text_sigtable
 
 
@@ -43,12 +43,16 @@ def text_dedup_pipeline(ds, cfg: DedupConfig | None = None, *,
     """documents -> clusters + verified pairs over the text-only channels
     (MinHash + winnowing fingerprints; the pixel channel is disabled)."""
     import dataclasses
-    from ..stages.verify import verify_pairs
+    from ..stages.verify import _EMPTY_OUT, verify_pairs
 
     cfg = cfg or DedupConfig()
     if "phash" in cfg.channels:
         cfg = dataclasses.replace(cfg, channels=("minhash", "fingerprint"))
     sigs = text_signatures(ds, cfg, id_col=id_col, text_col=text_col).materialize()
+    if sigs.count() == 0:       # an empty map output loses its schema
+        import ray.data as rd
+        return {"clusters": rd.from_arrow(EMPTY_CLUSTERS),
+                "pairs": rd.from_arrow(_EMPTY_OUT), "signatures": sigs}
     cands = candidate_pairs(sigs, cfg)
     scored = verify_pairs(cands, sigs, cfg).materialize()
     verified = scored.filter(expr="verified == True")

@@ -483,8 +483,7 @@ def cosine_pairs_exact(ds, threshold: float, *, id_col: str = "vec_id",
             "cos_sim": pa.array(np.floor(sim * 10000 + 0.5) / 10000,
                                 pa.float64())})
 
-    out = normed.map_batches(pair_kernel, batch_format="pyarrow")
-    return out.sort(["left_id", "right_id"])
+    return normed.map_batches(pair_kernel, batch_format="pyarrow")
 
 
 def _spherical_kmeans(sample: np.ndarray, n_centroids: int, iters: int,

@@ -184,6 +184,14 @@ def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
     return assign_clusters(all_ids_ds, comp, cfg)
 
 
+# the table ``assign_clusters`` emits, for an input with no valid row
+EMPTY_CLUSTERS = pa.table({
+    "image_id": pa.array([], pa.string()),
+    "cluster_id": pa.array([], pa.string()),
+    "cluster_size": pa.array([], pa.int64()),
+    "is_representative": pa.array([], pa.bool_())})
+
+
 def assign_clusters(all_ids_ds, components_ds, cfg: DedupConfig):
     """Every valid row gets its component's (cluster_id, cluster_size), or
     (itself, 1) for singletons; the representative is the row whose id is

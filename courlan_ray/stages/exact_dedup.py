@@ -10,8 +10,8 @@ Scale shape: the ``groupby(exact_key)`` shuffle moves ONLY the narrow
 ``(exact_key, image_id)`` projection — the binary image payload never
 crosses a shuffle (SURVEY.md §7.4).  Keeper = min image_id per group
 (order-free determinism, unlike the reference's arrival-order deque
-first-wins, urlstore.py:248-258).  Survivor rows are recovered with an
-anti-join on the (small) dropped-id set.
+first-wins, urlstore.py:248-258).  The pipeline recovers survivor rows
+with an anti-join on the (small) dropped-id set (``joins.filter_by_keys``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pyarrow as pa
 
 from ..config import DedupConfig
 from ..functions.hashing import hash_strings, hash_u64_pair
-from .joins import filter_by_keys
 
 
 def exact_keys(caption_keys: list, phash: np.ndarray, seed: int) -> np.ndarray:
@@ -86,18 +85,3 @@ def exact_dup_edges(keyed_ds, cfg: DedupConfig, id_col: str = "image_id"):
         lambda b: _edges_from_block(b, "exact_key", id_col),
         cfg.verify_broadcast_max)
 
-
-def exact_dedup(ds, cfg: DedupConfig, id_col: str = "image_id"):
-    """Returns (survivors, dup_edges).
-
-    survivors: all columns, one row per exact_key (keeper = min image_id).
-    dup_edges: (left_id, right_id) feeding connected components so exact
-    dups land in the same final cluster.
-    """
-    schema = ds.schema()
-    keyed = ds if (schema is not None and "exact_key" in schema.names) \
-        else add_exact_key(ds, cfg)
-    edges = exact_dup_edges(keyed, cfg, id_col)
-    survivors = filter_by_keys(keyed, edges, id_col, keep=False,
-                               keys_col="right_id")
-    return survivors, edges

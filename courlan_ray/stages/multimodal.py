@@ -325,8 +325,7 @@ def video_dedup_pairs(ds, cfg: DedupConfig, *, n_frames: int = 4,
             "right_id": sub["right_id"].filter(pa.array(keep)),
             "max_slot_ham": pa.array(worst[keep], pa.int64())})
 
-    out = attached.map_batches(verify, batch_format="pyarrow")
-    return out.sort(["left_id", "right_id"])
+    return attached.map_batches(verify, batch_format="pyarrow")
 
 
 def audio_features(ds, cfg: DedupConfig):
@@ -387,5 +386,4 @@ def audio_dedup_pairs(ds, cfg: DedupConfig, *, max_ham: int = 8,
             "ham": pc.cast(b["hamming"].filter(pa.array(keep)),
                            pa.int64())})
 
-    out = attached.map_batches(verify, batch_format="pyarrow")
-    return out.sort(["left_id", "right_id"])
+    return attached.map_batches(verify, batch_format="pyarrow")

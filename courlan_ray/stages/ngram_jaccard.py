@@ -140,9 +140,8 @@ def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
                         id_col: str = "doc_id", text_col: str = "text",
                         seed: int = 29):
     """Dataset -> exact near-dup pair table (left_id, right_id, jaccard),
-    every unordered pair with word-``n``-gram Jaccard >= ``threshold``,
-    sorted by (left_id, right_id).  See module docstring for the scale
-    shape."""
+    every unordered pair with word-``n``-gram Jaccard >= ``threshold``.
+    See module docstring for the scale shape."""
     from .joins import hash_join_pairs, safe_combine
     from .lsh import all_pairs, bucket_pairs
 
@@ -191,5 +190,4 @@ def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
             _list_to_arrays(b["grams_l"]), _list_to_arrays(b["grams_r"]),
             threshold)
 
-    out = joined.map_batches(verify_kernel, batch_format="pyarrow")
-    return out.sort(["left_id", "right_id"])
+    return joined.map_batches(verify_kernel, batch_format="pyarrow")

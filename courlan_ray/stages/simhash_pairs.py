@@ -27,7 +27,7 @@ def simhash_hamming_pairs(sig_ds, *, max_ham: int = 3,
                           id_col: str = "doc_id", sim_col: str = "simhash"):
     """(id, simhash:int64) dataset -> every unordered pair with Hamming
     distance <= ``max_ham`` (exact, by pigeonhole over ``max_ham + 1``
-    bands), sorted by (left_id, right_id)."""
+    bands)."""
     from .joins import hash_join_pairs
     from .lsh import all_pairs, bucket_pairs
 
@@ -57,5 +57,4 @@ def simhash_hamming_pairs(sig_ds, *, max_ham: int = 3,
             "right_id": b["right_id"].filter(keep),
             "hamming": pa.array(ham, pa.int64()).filter(keep)})
 
-    return joined.map_batches(verify, batch_format="pyarrow") \
-                 .sort(["left_id", "right_id"])
+    return joined.map_batches(verify, batch_format="pyarrow")

@@ -130,8 +130,8 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
                     lineage: dict | None = None):
     """Dataset -> exact shared-substring pair table
     (left_id, right_id, shared_grams), every unordered pair of docs whose
-    texts share an exact ``width``-byte substring, sorted by
-    (left_id, right_id).  See module docstring for the scale shape.
+    texts share an exact ``width``-byte substring.  See module docstring
+    for the scale shape.
 
     ``hot_gram_max``: optional explicit cap — grams shared by more than
     this many docs emit NO pairs (g(g-1)/2 blowup guard); exact dropped
@@ -181,8 +181,7 @@ def substring_pairs(ds, *, width: int = 32, id_col: str = "doc_id",
         postings = postings.materialize()
         _hot_lineage(postings, hot_gram_max, lineage)
     pairs = bucket_pairs(postings, emit, key="gram")
-    return pairs.rename_columns({"n": "shared_grams"}) \
-                .sort(["left_id", "right_id"])
+    return pairs.rename_columns({"n": "shared_grams"})
 
 
 def substring_lcs(ds, *, width: int = 32, id_col: str = "doc_id",
@@ -226,4 +225,4 @@ def substring_lcs(ds, *, width: int = 32, id_col: str = "doc_id",
                          "lcs_len": pa.array(out)})
 
     return joined.map_batches(lcs_kernel, batch_format="pyarrow",
-                              batch_size=2048).sort(["left_id", "right_id"])
+                              batch_size=2048)

@@ -221,19 +221,16 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
     broadcast probe while the signature side fits one task and has at most
     ``cfg.verify_broadcast_max`` rows, two partitioned sort-merge joins
     otherwise (no driver materialization)."""
-    from ray.data.dataset import MaterializedDataset
     from .joins import cluster_cpus, hash_join_pairs, sliced
 
     # re-split the candidate output so the verify stage fans out across the
-    # cluster — skipped when the input already has enough blocks (the
-    # keyed distinct of the scale path keeps its input's block count)
+    # cluster — skipped for at most one verify batch (a repartition's
+    # AllToAll launch, ~1.5 s, dwarfs the single-task kernel) and when the
+    # input already has enough blocks (the keyed distinct of the scale path
+    # keeps its input's block count)
     fanout = max(8, cluster_cpus() * 2)
-    is_mat = isinstance(pairs_ds, MaterializedDataset)
-    nb = pairs_ds.num_blocks() if is_mat else 0
-    if is_mat and pairs_ds.count() <= 8192:
-        pass        # <= one verify batch: a repartition's AllToAll launch
-                    # (~1.5 s) dwarfs the single-task kernel, skip it
-    elif nb < fanout // 2:
+    pairs_ds = pairs_ds.materialize()
+    if pairs_ds.count() > 8192 and pairs_ds.num_blocks() < fanout // 2:
         pairs_ds = pairs_ds.repartition(fanout)
 
     cols = ["minhash", "simhash_pix", "phash", "caption_key",

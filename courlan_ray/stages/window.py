@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .asof import _ts_i64
+
 
 def _round6(x: np.ndarray) -> np.ndarray:
     """Half-up to 6 decimals — mirror of the SQL twin's
@@ -33,13 +35,6 @@ def _round6(x: np.ndarray) -> np.ndarray:
     noise (inputs are 2-decimal values, so both sides land on the same
     grid point)."""
     return np.floor(x * 1_000_000 + 0.5) / 1_000_000
-
-
-def _ts_i64(col) -> np.ndarray:
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    np_arr = arr.to_numpy(zero_copy_only=False)
-    return np_arr.view("int64") if np_arr.dtype.kind == "M" \
-        else np_arr.astype(np.int64)
 
 
 def _window_bounds(tss: np.ndarray, starts: np.ndarray, ends: np.ndarray,

@@ -79,4 +79,3 @@ def test_pipeline_matches_scalar_kernel(ray_session):
             want[u] += 1
     got = dict(zip(out["url"], out["n_pages"]))
     assert got == dict(want)
-    assert list(out["url"]) == sorted(out["url"])

@@ -109,10 +109,23 @@ def test_forced_scale_paths_small_cluster(synth_path):
     assert pair_recall(pa.Table.from_pandas(clusters), pairs) >= 0.99
 
 
+CLUSTER_TYPES = {"image_id": pa.string(), "cluster_id": pa.string(),
+                 "cluster_size": pa.int64(), "is_representative": pa.bool_()}
+SCALE_CAPS = {"lsh_driver_link_max": 0, "verify_broadcast_max": 0,
+              "driver_cc_max_pairs": 0}
+
+
+def _types(ds) -> dict:
+    schema = ds.schema()
+    return dict(zip(schema.names, schema.types))
+
+
 def test_single_row_and_empty_inputs(synth_path):
-    """Degenerate inputs: one row -> one singleton cluster; zero rows ->
-    typed empty outputs (no crash in membership gather / schema probes)."""
+    """Degenerate inputs: one row -> one singleton cluster; zero rows or
+    zero valid rows -> typed empty outputs (no crash in membership gather /
+    schema probes), every input row counted as a reject."""
     import ray.data as rd
+    from courlan_ray.stages.verify import _OUT_SCHEMA
     full = dedup_pipeline(rd.read_parquet(synth_path).limit(1), DedupConfig())
     df = full["clusters"].to_pandas()
     one_valid = dedup_pipeline(
@@ -129,8 +142,21 @@ def test_single_row_and_empty_inputs(synth_path):
         DedupConfig())
     assert empty["clusters"].count() == 0
     assert empty["verified_pairs"].count() == 0
-    assert empty["clusters"].schema().names == [
-        "image_id", "cluster_id", "cluster_size", "is_representative"]
+    assert _types(empty["clusters"]) == CLUSTER_TYPES
+
+    for cfg in (DedupConfig(language="de"),
+                DedupConfig(min_caption_len=10_000),
+                DedupConfig(min_caption_len=10_000, **SCALE_CAPS)):
+        none_valid = dedup_pipeline(rd.read_parquet(synth_path), cfg)
+        assert none_valid["clusters"].count() == 0
+        assert _types(none_valid["clusters"]) == CLUSTER_TYPES
+        assert none_valid["verified_pairs"].count() == 0
+        assert _types(none_valid["verified_pairs"]) == dict(
+            zip(_OUT_SCHEMA.names, _OUT_SCHEMA.types))
+        assert none_valid["rejected"].count() == N
+        counters = none_valid["counters"].to_pandas()
+        assert "" not in set(counters["reject_reason"])
+        assert counters["n"].sum() == N
 
 
 _ONE_CPU_RUN = """

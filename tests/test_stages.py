@@ -16,7 +16,8 @@ def _rd():
 
 def test_exact_dedup_min_id_wins_and_edges():
     import ray.data as rd
-    from courlan_ray.stages.exact_dedup import exact_dedup
+    from courlan_ray.stages.exact_dedup import add_exact_key, exact_dup_edges
+    from courlan_ray.stages.joins import filter_by_keys
     from courlan_ray.functions.imagecodec import encode_image
     img = encode_image(np.zeros((8, 8, 3), dtype=np.uint8), "png")
     rows = [
@@ -26,7 +27,10 @@ def test_exact_dedup_min_id_wins_and_edges():
     ]
     ds = rd.from_pandas(pd.DataFrame(rows))
     cfg = DedupConfig()
-    survivors, edges = exact_dedup(ds, cfg)
+    keyed = add_exact_key(ds, cfg)
+    edges = exact_dup_edges(keyed, cfg)
+    survivors = filter_by_keys(keyed, edges, "image_id", keep=False,
+                               keys_col="right_id")
     s = sorted(r["image_id"] for r in survivors.select_columns(["image_id"]).take_all())
     e = edges.to_pandas()
     assert s == ["a", "c"]
@@ -682,3 +686,48 @@ def test_link_all_clusters_survive_idh_collisions():
     same = st1.set_column(st1.schema.get_field_index("idh"), "idh",
                           pa.array(np.where(is_rep, 12345, idh), pa.int64()))
     pd.testing.assert_frame_equal(clusters(st1), clusters(same))
+
+
+# Every ``.sort(...)`` with an argument in the package (``np.sort`` aside),
+# by (file, enclosing function): a result is a row set, so a global sort
+# stays only where its order is the answer or the mechanism.
+CONTRACT_SORTS = {
+    # the keyed exchange itself: a range sort on the placement hash
+    ("stages/joins.py", "keyed_map"),
+    # mirrors filter_urls' sorted output
+    ("pipelines/queries.py", "doc_distinct_sorted"),
+    # ORDER BY ... LIMIT heads: the order picks the rows
+    ("pipelines/queries.py", "orders_top_customers"),
+    ("pipelines/queries.py", "emb_knn"),
+    ("pipelines/extras.py", "q3_shipping"),
+    ("pipelines/url_pipeline.py", "url_frontier_schedule"),
+    # restores input line order, the reference script's output order
+    ("pipelines/helpers.py", "wordpress_sources"),
+}
+
+
+def test_dataset_sorts_are_contract_sorts():
+    import ast
+    import pathlib
+
+    import courlan_ray
+
+    root = pathlib.Path(courlan_ray.__file__).parent
+    found = set()
+
+    def walk(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, path, child.name)
+                continue
+            call = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(call, ast.Attribute) and call.attr == "sort"
+                    and (child.args or child.keywords)
+                    and not (isinstance(call.value, ast.Name)
+                             and call.value.id == "np")):
+                found.add((path, func))
+            walk(child, path, func)
+
+    for f in root.rglob("*.py"):
+        walk(ast.parse(f.read_text()), f.relative_to(root).as_posix(), None)
+    assert found == CONTRACT_SORTS

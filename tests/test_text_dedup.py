@@ -41,6 +41,25 @@ def test_text_dedup_clusters_planted_pairs():
     assert (sizes > 1).sum() == 3
 
 
+@pytest.mark.parametrize("caps", [{}, {"lsh_driver_link_max": 0,
+                                      "verify_broadcast_max": 0,
+                                      "driver_cc_max_pairs": 0}])
+def test_text_dedup_empty_input(caps):
+    """Zero documents -> typed empty clusters and pairs on either path."""
+    import pyarrow as pa
+    import ray.data as rd
+    from courlan_ray.stages.verify import _OUT_SCHEMA
+    docs = pa.table({"doc_id": pa.array([], pa.int64()),
+                     "text": pa.array([], pa.string())})
+    out = text_dedup_pipeline(rd.from_arrow(docs), DedupConfig(**caps))
+    clusters, pairs = out["clusters"], out["pairs"]
+    assert clusters.count() == 0 and pairs.count() == 0
+    assert dict(zip(clusters.schema().names, clusters.schema().types)) == {
+        "image_id": pa.string(), "cluster_id": pa.string(),
+        "cluster_size": pa.int64(), "is_representative": pa.bool_()}
+    assert pairs.schema().names == _OUT_SCHEMA.names
+
+
 def test_text_and_image_signatures_agree():
     """One caption kernel: for the same normalized captions the text and
     the image signature stages emit equal caption columns."""
