@@ -7,12 +7,15 @@ urlstore.py:171-275 + sampling.py:15-68) over image+caption tables:
   read -> [canonicalize ∘ signatures]  (ONE map-task traversal of the
           wide byte payload: gates as columns + decode + phash + MinHash +
           SimHash + winnowing, fused — the "sigtable")
-       -> exact dedup  (variant-invariant key over the narrow sigtable)
+       -> exact dedup  (equal (caption_key, phash) values over the
+                        narrow sigtable)
        -> LSH banding  (block-local salted star reduction + size-adaptive
                         cross-block link, 3 candidate channels)
        -> verify       (banded Jaccard + Hamming + LCS)
        -> components   (union-find / min-label propagation)
        -> assign + representatives (one-per-cluster draw)
+
+The text pipeline runs everything after the sigtable (``dedup_sigtable``).
 
 Design for scale (SURVEY.md §7.3/§7.4 + VERDICT round 1):
 
@@ -36,10 +39,18 @@ import pyarrow as pa
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..stages.canonicalize import reject_counters
 from ..stages.exact_dedup import exact_dup_edges
-from ..stages.signatures import compute_signatures
+from ..stages.signatures import compute_signatures, text_sigtable
 from ..stages.lsh import candidate_pairs
-from ..stages.verify import verify_pairs
+from ..stages.verify import _EMPTY_OUT, verify_pairs
 from ..stages.components import EMPTY_CLUSTERS, cluster_assignments
+
+
+def _stage(checkpoint, name: str, make):
+    """``make()`` materialized, or run through ``checkpoint.run`` (durable,
+    skipped on resume; state.manifest.Checkpoint)."""
+    if checkpoint is None:
+        return make().materialize()
+    return checkpoint.run(name, make)
 
 
 def dedup_pipeline(ds, cfg: DedupConfig = DEFAULT_CONFIG, *,
@@ -52,57 +63,52 @@ def dedup_pipeline(ds, cfg: DedupConfig = DEFAULT_CONFIG, *,
       verified_pairs: scored pair table (lineage)
       counters: reject_reason counts
 
-    The narrow sigtable and the (much smaller) edge/pair tables are pinned
-    with ``materialize()``; with a ``checkpoint``
-    (state.manifest.Checkpoint) they are written to partitioned parquet
-    instead — the durable equivalent at 100 TB scale — and completed
-    stages are skipped on resume.  For file-backed inputs the signature
-    stage can additionally resume at SHARD granularity via
-    ``checkpoint.run_sharded("sigtable", ds.input_files(), make)`` —
-    one output directory per input-file shard, only unmarked shards
-    recompute (state/manifest.py).
+    The valid rows of the gated sigtable go through ``dedup_sigtable``,
+    which the text pipeline runs too; ``checkpoint`` makes each stage
+    durable and resumable.
     """
-    def stage(name, make):
-        if checkpoint is None:
-            return make().materialize()
-        return checkpoint.run(name, make)
-
     # ONE traversal of the wide payload: gates + all signatures fused into
     # one map stage; output is the narrow per-row signature table
-    sigtable = stage("sigtable",
-                     lambda: compute_signatures(ds, cfg, with_gates=True))
+    sigtable = _stage(checkpoint, "sigtable",
+                      lambda: compute_signatures(ds, cfg, with_gates=True))
     valid = sigtable.filter(expr="valid == True").materialize()
-    rejected = sigtable.filter(expr="valid == False")
-    # no valid row: typed empty outputs (an empty map output loses its schema)
-    if valid.count() == 0:
-        import ray.data as rd
-        from ..stages.verify import _EMPTY_OUT
-        return {"clusters": rd.from_arrow(EMPTY_CLUSTERS),
-                "rejected": rejected,
-                "verified_pairs": rd.from_arrow(_EMPTY_OUT),
-                "counters": reject_counters(sigtable)}
+    clusters, scored, _ = dedup_sigtable(valid, cfg, checkpoint=checkpoint)
+    return {"clusters": clusters,
+            "rejected": sigtable.filter(expr="valid == False"),
+            "verified_pairs": scored, "counters": reject_counters(sigtable)}
 
+
+def dedup_sigtable(sigs, cfg: DedupConfig, *, checkpoint=None) -> tuple:
+    """The dedup chain over a materialized sigtable of valid rows, image or
+    text: exact edges -> survivors -> LSH candidates -> verify -> edge
+    union -> components.  Returns the Datasets (clusters, scored pairs,
+    ``sigs`` typed even when empty)."""
+    import ray.data as rd
     from ..stages.joins import filter_by_keys
 
-    # sigtable already carries exact_key (computed in the signature stage)
-    keyed_edges = stage("exact_edges", lambda: exact_dup_edges(valid, cfg))
-    survivors = filter_by_keys(valid, keyed_edges,
-                               "image_id", keep=False, keys_col="right_id")
+    # no row: typed empty outputs (an empty map output loses its schema,
+    # so a schema-less sigtable is replaced by the payload-less one)
+    if sigs.count() == 0:
+        if sigs.schema() is None:
+            none = pa.array([], pa.string())
+            sigs = rd.from_arrow(text_sigtable(none, none, cfg))
+        return (rd.from_arrow(EMPTY_CLUSTERS), rd.from_arrow(_EMPTY_OUT),
+                sigs)
 
-    cands = stage("candidates", lambda: candidate_pairs(survivors, cfg))
-    scored = stage("verified_pairs", lambda: verify_pairs(cands, valid, cfg))
+    keyed_edges = _stage(checkpoint, "exact_edges",
+                         lambda: exact_dup_edges(sigs, cfg))
+    survivors = filter_by_keys(sigs, keyed_edges,
+                               "image_id", keep=False, keys_col="right_id")
+    cands = _stage(checkpoint, "candidates",
+                   lambda: candidate_pairs(survivors, cfg))
+    scored = _stage(checkpoint, "verified_pairs",
+                    lambda: verify_pairs(cands, sigs, cfg))
     verified = scored.filter(expr="verified == True")
 
     edges = verified.select_columns(["left_id", "right_id"]).union(
         keyed_edges.select_columns(["left_id", "right_id"]))
-
-    all_ids = valid.select_columns(["image_id"])
-    return {
-        "clusters": cluster_assignments(edges, all_ids, cfg),
-        "rejected": rejected,
-        "verified_pairs": scored,
-        "counters": reject_counters(sigtable),
-    }
+    all_ids = sigs.select_columns(["image_id"])
+    return cluster_assignments(edges, all_ids, cfg), scored, sigs
 
 
 def pair_recall(clusters_tbl: pa.Table, truth_pairs: pa.Table) -> float:

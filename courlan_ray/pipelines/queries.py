@@ -16,9 +16,10 @@ counters (get_all_counts), per-group first draw (get_url), scheduling
 windowed aggregation, and vector similarity.  Floating aggregates are
 rounded on BOTH sides so value hashes match.
 
-Non-SQL-expressible pipelines (MinHash/LSH clustering, SimHash,
-fingerprints, ANN) live in ``extras`` and have no ``ORACLES`` entry — the
-driver records rows-only checks for those.
+The dedup and similarity pipelines live in ``extras``; SQL-checkable ones
+such as ``doc_simhash_pairs`` have ``EXTRA_ORACLES`` entries.  The rest
+(MinHash/LSH clustering, the SimHash and fingerprint signatures, ANN) get
+rows-only driver checks.
 """
 
 from __future__ import annotations

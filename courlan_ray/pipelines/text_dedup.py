@@ -2,8 +2,10 @@
 table (doc_id, text) — MinHash+LSH over character shingles, SimHash,
 winnowing substring fingerprints, connected components, representatives.
 
-Same stages as the image pipeline minus the pixel channel; demonstrates the
-engine is payload-agnostic (the courlan contract over any record stream).
+Only the sigtable is its own; the rest is the image pipeline's
+``dedup_sigtable`` minus the pixel channel (exact key: the normalized text
+and the zero ``phash``).  This demonstrates the engine is payload-agnostic
+(the courlan contract over any record stream).
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DedupConfig
-from ..stages.lsh import candidate_pairs
-from ..stages.components import EMPTY_CLUSTERS, cluster_assignments
 from ..stages.signatures import text_sigtable
+from .image_dedup import _stage, dedup_sigtable
+# not called here: perfbench/spans.py looks these up on this module by name
+from ..stages.lsh import candidate_pairs  # noqa: F401
+from ..stages.components import cluster_assignments  # noqa: F401
 
 
 def text_signatures(ds, cfg: DedupConfig, *, id_col="doc_id", text_col="text"):
@@ -39,24 +43,17 @@ def text_signatures(ds, cfg: DedupConfig, *, id_col="doc_id", text_col="text"):
 
 
 def text_dedup_pipeline(ds, cfg: DedupConfig | None = None, *,
-                        id_col="doc_id", text_col="text") -> dict:
-    """documents -> clusters + verified pairs over the text-only channels
-    (MinHash + winnowing fingerprints; the pixel channel is disabled)."""
+                        id_col="doc_id", text_col="text",
+                        checkpoint=None) -> dict:
+    """documents -> clusters, scored pairs and signatures over the
+    text-only channels (MinHash + winnowing fingerprints); ``checkpoint``
+    as in ``image_dedup.dedup_pipeline``."""
     import dataclasses
-    from ..stages.verify import _EMPTY_OUT, verify_pairs
 
     cfg = cfg or DedupConfig()
     if "phash" in cfg.channels:
         cfg = dataclasses.replace(cfg, channels=("minhash", "fingerprint"))
-    sigs = text_signatures(ds, cfg, id_col=id_col, text_col=text_col).materialize()
-    if sigs.count() == 0:       # an empty map output loses its schema
-        import ray.data as rd
-        return {"clusters": rd.from_arrow(EMPTY_CLUSTERS),
-                "pairs": rd.from_arrow(_EMPTY_OUT), "signatures": sigs}
-    cands = candidate_pairs(sigs, cfg)
-    scored = verify_pairs(cands, sigs, cfg).materialize()
-    verified = scored.filter(expr="verified == True")
-    edges = verified.select_columns(["left_id", "right_id"])
-    all_ids = sigs.select_columns(["image_id"])
-    clusters = cluster_assignments(edges, all_ids, cfg)
-    return {"clusters": clusters, "pairs": scored, "signatures": sigs}
+    sigs = _stage(checkpoint, "sigtable", lambda: text_signatures(
+        ds, cfg, id_col=id_col, text_col=text_col))
+    clusters, pairs, sigs = dedup_sigtable(sigs, cfg, checkpoint=checkpoint)
+    return {"clusters": clusters, "pairs": pairs, "signatures": sigs}

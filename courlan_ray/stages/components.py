@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import DedupConfig
-from .joins import _collect
+from .joins import SMALL_BYTES, _collect
 
 
 def driver_union_find(edges: pd.DataFrame) -> pd.DataFrame:
@@ -94,7 +94,12 @@ def distributed_components(edges_ds, cfg: DedupConfig):
                                      batch["left_id"].combine_chunks()]),
         })
 
-    sym = edges_ds.map_batches(symmetric, batch_format="pyarrow").materialize()
+    # one block per SMALL_BYTES of edges: every round runs a task per block
+    # of ``sym``, and the pipelines hand in a union of two edge tables
+    # (verified pairs and exact-dup edges) with the blocks of both
+    nb = -(-(edges_ds.size_bytes() or 0) // SMALL_BYTES)
+    sym = edges_ds.repartition(max(1, nb)).map_batches(
+        symmetric, batch_format="pyarrow").materialize()
 
     def min_label(ds, cols):
         return grouped_agg(ds, ["image_id"], [(c, "min", c) for c in cols])

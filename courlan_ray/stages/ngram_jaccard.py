@@ -1,10 +1,11 @@
-"""Exact word-n-gram Jaccard near-dup pairs (prefix-filtered AllPairs).
+"""Word-n-gram Jaccard near-dup pairs (prefix-filtered AllPairs).
 
 The reference's dedup tier is approximate (MinHash over char shingles,
 courlan-style `is_known_link` exactness only for full URLs); this stage adds
-the EXACT set-similarity tier a training-data pipeline needs for auditable
+the set-similarity tier a training-data pipeline needs for auditable
 near-dup removal: every unordered doc pair whose word-n-gram Jaccard
-similarity >= t, with the true (not estimated) similarity value.
+similarity >= t, with the computed (not estimated) similarity value.  The
+result is exact over 64-bit gram hashes (see the hash-identity caveat).
 
 Candidate generation is lossless and skew-resistant via the PPJoin prefix
 filter (Xiao et al., WWW'08): order each doc's distinct gram set under a
@@ -26,7 +27,7 @@ Scale shape (the 100 TB path):
     distinct.
   - verify: pair table joined back to gram arrays via the size-adaptive
     ``hash_join_pairs`` (broadcast while the gram sets fit one task,
-    partitioned joins above), exact Jaccard per batch, one global sort.
+    partitioned joins above), exact Jaccard per batch.
 
 Hash-identity caveat: gram sets are represented by 64-bit chain hashes of
 token hashes; two distinct grams colliding would merge set elements.  At
@@ -56,9 +57,10 @@ def _gram_sets(texts: list[str], n: int, seed: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct word-n-gram chain hashes per text, each segment sorted
     ascending.  Returns (flat:uint64, counts:int64).  Tokenization matches
-    functions.textstats._TOKEN_RE (unicode letters, ``[^\\W\\d_]``); the
-    DuckDB oracle mirrors it with the same RE2 class, so the twin holds
-    beyond ASCII (ADVICE round 2)."""
+    functions.textstats._TOKEN_RE (unicode letters, ``[^\\W\\d_]``).  The
+    DuckDB oracle writes the same class, but RE2's ``\\W`` is ASCII-only
+    (DuckDB 1.0.0 splits 'café' into 'caf'), so the twin agrees on ASCII
+    text only until the SQL side uses a Unicode letter class."""
     from ..functions.textstats import _explode_tokens
 
     flat_tok, doc = _explode_tokens(pd.Series(texts))
@@ -172,8 +174,7 @@ def ngram_jaccard_pairs(ds, *, n: int = 3, threshold: float = 0.5,
         })
 
     # 256-doc batches: tokenization/hashing saturates vectorization well
-    # below this; larger batches underparallelize small corpora (cf.
-    # pipelines/text_dedup.text_signatures)
+    # below this; larger batches underparallelize small corpora
     sig = ds.map_batches(sig_kernel, batch_format="pyarrow",
                          batch_size=256).materialize()
     pairs = bucket_pairs(

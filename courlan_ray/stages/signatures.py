@@ -28,14 +28,14 @@ one reshape-mean for all pixel SimHashes — no per-image DCT calls.
 
 Output schema (the "sigtable"; ``caption_signatures`` builds the caption
 columns for the image and the text pipeline alike):
-  image_id, caption_key, valid, reject_reason, exact_key: int64,
+  image_id, caption_key, valid, reject_reason,
   minhash: fixed_size_list<int32>[num_perm] (low 32 bits of each
   min-hash), simhash_cap: int64, simhash_pix: int64, phash: int64
   (recomputed; input value when decode fails), fingerprints: list<int64>
   (sorted per row), fp_pairs: list<int64> (adjacent-print pair hashes),
   shingle_count: int32, decode_ok: bool.  ``text_sigtable`` (the text
-  pipeline) has no valid / reject_reason / exact_key columns and zero
-  pixel columns.
+  pipeline) has no valid / reject_reason columns and zero pixel columns.
+  ``(caption_key, phash)`` is the exact-dup key (stages/exact_dedup.py).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from ..functions.hashing import (adjacent_pair_hashes, char_shingle_hashes,
                                  hash_strings, minhash_signatures, simhash64,
                                  sort_segments, splitmix64,
                                  winnowing_fingerprints)
-from .exact_dedup import exact_keys
 
 _U64 = np.uint64
 
@@ -215,17 +214,12 @@ def signature_batch(batch: pa.Table, cfg: DedupConfig,
     phash = _scatter(v_phash, rows, n)
     simpix = _scatter(v_simpix, rows, n)
     ok = _scatter(v_ok, rows, n)
-    # variant-invariant exact-dup key (stages/exact_dedup.py), computed
-    # here so the exact stage needs no extra pass over the sigtable
-    exact_key = exact_keys(batch["caption_key"].to_pylist(), phash,
-                           cfg.seed)
 
     return pa.table({
         "image_id": batch["image_id"],
         "caption_key": batch["caption_key"],
         "valid": pa.array(valid),
         "reject_reason": reject,
-        "exact_key": pa.array(exact_key, pa.int64()),
         "minhash": cap["minhash"],
         "simhash_cap": cap["simhash_cap"],
         "simhash_pix": pa.array(simpix.view(np.int64), pa.int64()),

@@ -3,7 +3,9 @@
 The third north-star signature family (after MinHash and SimHash) is
 suffix-array substring detection for near-verbatim caption overlap.  The
 approximate tier is winnowing (``functions/hashing.winnowing_fingerprints``,
-used by the flagship's substring channel); this stage is the EXACT tier:
+used by the flagship's substring channel); this stage is the tier that
+is exact over 64-bit gram hashes (two colliding width-grams would seed a
+false pair):
 
 - ``substring_pairs``: every unordered doc pair sharing at least one exact
   ``width``-character substring, with the shared-gram count

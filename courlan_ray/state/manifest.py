@@ -29,15 +29,16 @@ from dataclasses import asdict
 from ..config import DedupConfig
 from ..sources.cache import write_parquet_atomic
 
-# config fields that affect each stage's OUTPUT (cumulative downstream).
-# "sigtable" is the fused canonicalize+signatures traversal
-# (pipelines/image_dedup.py), so it owns both gate and signature fields.
+# config fields that affect each stage's OUTPUT (cumulative downstream),
+# for the image and the text pipeline alike.  The image "sigtable" fuses
+# canonicalize+signatures, so it owns gate and signature fields (text
+# reads only the latter); "exact_edges" compares sigtable values.
 STAGE_FIELDS: dict[str, tuple[str, ...]] = {
     "sigtable": ("strict", "language", "min_caption_len",
                  "max_caption_len", "allowed_formats", "min_dim", "max_dim",
                  "shingle_width", "num_perm", "seed", "fingerprint_k",
                  "fingerprint_window", "channels"),
-    "exact_edges": ("seed",),
+    "exact_edges": (),
     "candidates": ("bands", "phash_bands", "num_salts", "weak_bucket_cap"),
     "verified_pairs": ("jaccard_threshold", "hamming_threshold",
                        "simhash_hamming_threshold", "substring_min_ratio"),

@@ -177,9 +177,12 @@ def _topk_per_group():
 
 def _exact_dup_edges():
     from courlan_ray.stages.exact_dedup import exact_dup_edges
+    # groups {a, e, f} and {b, d}; h shares a's caption with another
+    # phash, i shares a's phash with another caption
     keys = pa.table({
-        "exact_key": pa.array([5, 9, 5, 7, 9, 5, 1], pa.int64()),
-        "image_id": pa.array(["e", "b", "a", "c", "d", "f", "g"])})
+        "caption_key": ["x", "y", "x", "z", "y", "x", "w", "x", "v"],
+        "phash": pa.array([5, 9, 5, 7, 9, 5, 1, 6, 5], pa.int64()),
+        "image_id": ["e", "b", "a", "c", "d", "f", "g", "h", "i"]})
     return exact_dup_edges(rd.from_arrow(keys), DedupConfig()), _PAIR
 
 

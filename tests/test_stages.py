@@ -16,7 +16,7 @@ def _rd():
 
 def test_exact_dedup_min_id_wins_and_edges():
     import ray.data as rd
-    from courlan_ray.stages.exact_dedup import add_exact_key, exact_dup_edges
+    from courlan_ray.stages.exact_dedup import exact_dup_edges
     from courlan_ray.stages.joins import filter_by_keys
     from courlan_ray.functions.imagecodec import encode_image
     img = encode_image(np.zeros((8, 8, 3), dtype=np.uint8), "png")
@@ -27,14 +27,35 @@ def test_exact_dedup_min_id_wins_and_edges():
     ]
     ds = rd.from_pandas(pd.DataFrame(rows))
     cfg = DedupConfig()
-    keyed = add_exact_key(ds, cfg)
-    edges = exact_dup_edges(keyed, cfg)
-    survivors = filter_by_keys(keyed, edges, "image_id", keep=False,
+    edges = exact_dup_edges(ds, cfg)
+    survivors = filter_by_keys(ds, edges, "image_id", keep=False,
                                keys_col="right_id")
     s = sorted(r["image_id"] for r in survivors.select_columns(["image_id"]).take_all())
     e = edges.to_pandas()
     assert s == ["a", "c"]
     assert e.values.tolist() == [["a", "b"]]
+
+
+@pytest.mark.parametrize("exchange", [False, True])
+def test_exact_dedup_compares_values_not_a_key(exchange):
+    """Rows with distinct (caption_key, phash) values that all carry one
+    64-bit key, as a full hash collision would give them, are no exact
+    duplicates: zero edges on the one-place side and through the keyed
+    exchange."""
+    import contextlib
+    import ray.data as rd
+    from courlan_ray.stages import joins
+    from courlan_ray.stages.exact_dedup import exact_dup_edges
+    n = 12
+    rows = pa.table({
+        "image_id": [f"i{j:02d}" for j in range(n)],
+        "caption_key": [f"caption {j % 4}" for j in range(n)],
+        "phash": pa.array([j // 4 for j in range(n)], pa.int64()),
+        "exact_key": pa.array([42] * n, pa.int64())})
+    ds = rd.from_arrow(rows).repartition(3)
+    with joins.exchanges_only() if exchange else contextlib.nullcontext():
+        edges = exact_dup_edges(ds, DedupConfig())
+        assert edges.count() == 0
 
 
 def test_group_sample_semantics():
