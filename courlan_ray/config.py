@@ -59,7 +59,7 @@ class DedupConfig:
                                            # strong MinHash bands are never capped
 
     # --- connected components ---
-    driver_cc_max_pairs: int = 2_000_000   # below: driver union-find; above: distributed
+    driver_cc_max_pairs: int = 2_000_000   # below: driver union-find; above: star contraction
 
     # --- row caps of one-place sides, on top of joins.fits_one_task's
     # byte budget (0 forces the keyed-exchange side) ---

@@ -12,7 +12,7 @@ urlstore.py:171-275 + sampling.py:15-68) over image+caption tables:
        -> LSH banding  (block-local salted star reduction + size-adaptive
                         cross-block link, 3 candidate channels)
        -> verify       (banded Jaccard + Hamming + LCS)
-       -> components   (union-find / min-label propagation)
+       -> components   (union-find / star contraction)
        -> assign + representatives (one-per-cluster draw)
 
 The text pipeline runs everything after the sigtable (``dedup_sigtable``).
@@ -39,7 +39,7 @@ import pyarrow as pa
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..stages.canonicalize import reject_counters
 from ..stages.exact_dedup import exact_dup_edges
-from ..stages.signatures import compute_signatures, text_sigtable
+from ..stages.signatures import compute_signatures
 from ..stages.lsh import candidate_pairs
 from ..stages.verify import _EMPTY_OUT, verify_pairs
 from ..stages.components import EMPTY_CLUSTERS, cluster_assignments
@@ -86,12 +86,7 @@ def dedup_sigtable(sigs, cfg: DedupConfig, *, checkpoint=None) -> tuple:
     import ray.data as rd
     from ..stages.joins import filter_by_keys
 
-    # no row: typed empty outputs (an empty map output loses its schema,
-    # so a schema-less sigtable is replaced by the payload-less one)
-    if sigs.count() == 0:
-        if sigs.schema() is None:
-            none = pa.array([], pa.string())
-            sigs = rd.from_arrow(text_sigtable(none, none, cfg))
+    if sigs.count() == 0:           # no row: typed empty outputs
         return (rd.from_arrow(EMPTY_CLUSTERS), rd.from_arrow(_EMPTY_OUT),
                 sigs)
 

@@ -1,6 +1,6 @@
 """Text near-duplicate pipeline: the dedup engine applied to a documents
-table (doc_id, text) — MinHash+LSH over character shingles, SimHash,
-winnowing substring fingerprints, connected components, representatives.
+table (doc_id, text) — MinHash+LSH over character shingles, winnowing
+substring fingerprints, connected components, representatives.
 
 Only the sigtable is its own; the rest is the image pipeline's
 ``dedup_sigtable`` minus the pixel channel (exact key: the normalized text
@@ -14,7 +14,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DedupConfig
-from ..stages.signatures import text_sigtable
+from ..stages.signatures import sigtable_map, text_sigtable
 from .image_dedup import _stage, dedup_sigtable
 # not called here: perfbench/spans.py looks these up on this module by name
 from ..stages.lsh import candidate_pairs  # noqa: F401
@@ -32,14 +32,14 @@ def text_signatures(ds, cfg: DedupConfig, *, id_col="doc_id", text_col="text"):
         return text_sigtable(ids, norm, cfg)
 
     # Stateless task stage, like the image signature stage
-    # (stages/signatures.py).  batch_size=None (one batch per block): a
+    # (signatures.sigtable_map).  batch_size=None (one batch per block): a
     # fixed batch_size makes Ray RE-BUNDLE blocks into exact-size batches
     # across block boundaries, which serialized a 64-block input and
     # tripled stage wall time (measured 0.84 s -> 0.27 s at sf0.1); the
     # kernel is pure vectorized hashing with no per-batch state, so
     # block-sized batches are right at any scale (blocks are already
     # bounded by target_max_block_size)
-    return ds.map_batches(kernel, batch_format="pyarrow", batch_size=None)
+    return sigtable_map(ds, kernel, batch_size=None)
 
 
 def text_dedup_pipeline(ds, cfg: DedupConfig | None = None, *,

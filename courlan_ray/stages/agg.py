@@ -2,10 +2,10 @@
 keyed exchange.
 
 Every grouped operation this engine needs (bucket representative = min,
-keeper = min, cluster size = count, counters = sum, label propagation =
-min) is ASSOCIATIVE, so the plan is map-side partial aggregation followed
-by a combine tree (the "pre-aggregate inside map_batches before a small
-groupby" rule, SURVEY.md §4 / ray_guide aggregation section):
+keeper = min, counters = sum) is ASSOCIATIVE, so the plan is map-side
+partial aggregation followed by a combine tree (the "pre-aggregate inside
+map_batches before a small groupby" rule, SURVEY.md §4 / ray_guide
+aggregation section):
 
   pass 1: pyarrow ``group_by`` per block (C-vectorized)
   pass k: coalesce blocks ``fanout``-to-1 (``repartition`` without

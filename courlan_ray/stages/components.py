@@ -7,19 +7,17 @@ Two execution paths, chosen by the edge table's size (SURVEY.md §7.4
   and number at most ``cfg.driver_cc_max_pairs`` are pulled to the driver
   (two narrow string columns) and solved with path-compressed union-find.
   Dup edges are O(#duplicates), far smaller than the input.
-- ``distributed_components``: iterative min-label propagation expressed as
-  Ray Data shuffles (the BTS-style alternative, PAPERS.md): each round
-  joins the label table to both ends of the symmetric edge list, takes the
-  per-node minimum neighbor label, hooks it onto the node's label too and
-  pointer-jumps, until a round lowers no node's label (an exact count over
-  the label values).
+- ``distributed_components``: star contraction (Kiveris et al.,
+  "Connected Components in MapReduce and Beyond", SoCC 2014): alternating
+  Large-Star and Small-Star passes, each one ``joins.keyed_map`` with a
+  vectorized kernel per block, until each component is one star.
 
 ``cluster_id`` is the minimum ``image_id`` of the component — order-free
 determinism (SURVEY.md §4): no dependence on arrival order or parallelism.
-Both paths end in ``assign_clusters``: one left ``attach_by_key`` of the
-component table onto every valid id, which also yields the cluster size and
-the one-per-cluster representative (the minimum id, UrlStore's one-per-domain
-draw generalized).
+Both paths return the same (image_id, cluster_id, cluster_size) table,
+and ``assign_clusters`` attaches it to every valid id with one left
+``attach_by_key``, which also picks the one-per-cluster representative
+(the minimum id, UrlStore's one-per-domain draw generalized).
 """
 
 from __future__ import annotations
@@ -27,13 +25,24 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray.data as rd
 
 from ..config import DedupConfig
-from .joins import SMALL_BYTES, _collect
+from . import joins
+
+# the table ``assign_clusters`` emits, for an input with no valid row
+EMPTY_CLUSTERS = pa.table({
+    "image_id": pa.array([], pa.string()),
+    "cluster_id": pa.array([], pa.string()),
+    "cluster_size": pa.array([], pa.int64()),
+    "is_representative": pa.array([], pa.bool_())})
+# the table both component paths return, for no edge
+_EMPTY_COMPONENTS = EMPTY_CLUSTERS.drop_columns(["is_representative"])
 
 
 def driver_union_find(edges: pd.DataFrame) -> pd.DataFrame:
-    """(left_id, right_id) -> (image_id, cluster_id) for nodes in edges.
+    """(left_id, right_id) -> (image_id, cluster_id, cluster_size) per node.
 
     Fully vectorized: ids are factorized to ints sorted so that label
     order == id order, then min-label flows along edges with
@@ -61,99 +70,93 @@ def driver_union_find(edges: pd.DataFrame) -> pd.DataFrame:
             labels = nxt
         if np.array_equal(labels, before):
             break
-    return pd.DataFrame({"image_id": uniques,
-                         "cluster_id": uniques.take(labels)})
+    return pd.DataFrame({
+        "image_id": uniques, "cluster_id": uniques.take(labels),
+        "cluster_size": np.bincount(labels, minlength=len(uniques))[labels]})
+
+
+def _neighbours(b: pa.Table, node: str, nbr: str):
+    """A block's distinct non-self (node, neighbour) pairs as int codes in
+    (node, neighbour) order, code order being id order; and the ids."""
+    m = b.num_rows
+    codes, ids = pd.factorize(np.concatenate(
+        [b[node].to_numpy(), b[nbr].to_numpy()]), sort=True)
+    u, w = codes[:m], codes[m:]
+    pair = np.unique(u[u != w].astype(np.int64) * len(ids) + w[u != w])
+    return pair // len(ids), pair % len(ids), ids
+
+
+def _links(ids, image, cluster, **cols) -> pa.Table:
+    return pa.table({"image_id": pa.array(ids[image], pa.string()),
+                     "cluster_id": pa.array(ids[cluster], pa.string()),
+                     **cols})
+
+
+def _large_star(b: pa.Table) -> pa.Table:
+    """Per node u of the symmetric edges: every neighbour larger than u is
+    linked to m, the least of u and its neighbours.  A root (every
+    neighbour larger) also emits itself, and its rows carry its group's
+    size; a node that is neither a root nor a leaf (exactly one neighbour,
+    a smaller one) emits itself too, with null sizes that mark the pass
+    unsettled."""
+    u, w, ids = _neighbours(b, "image_id", "nbr")
+    nodes, first, deg = np.unique(u, return_index=True, return_counts=True)
+    root = w[first] > nodes                 # least neighbour above the node
+    grp = np.repeat(np.arange(len(nodes)), deg)
+    m, size = np.minimum(nodes, w[first]), np.where(root, deg + 1, 0)
+    own, larger = root | (deg > 1), w > u
+    sizes = np.concatenate([size[grp][larger], size[own]])
+    return _links(ids, np.concatenate([w[larger], nodes[own]]),
+                  np.concatenate([m[grp][larger], nodes[own]]),
+                  cluster_size=pa.array(sizes, pa.int64(), mask=sizes == 0))
+
+
+def _small_star(b: pa.Table) -> pa.Table:
+    """Per node u, over the large-star links keyed by their larger end:
+    u and its smaller neighbours are linked to the least of them (the
+    large-star self rows hold no link)."""
+    u, w, ids = _neighbours(b, "image_id", "cluster_id")
+    nodes, first, deg = np.unique(u, return_index=True, return_counts=True)
+    spoke = np.repeat(w[first], deg)
+    lower = w != spoke
+    return _links(ids, np.concatenate([w[lower], nodes]),
+                  np.concatenate([spoke[lower], w[first]]))
+
+
+def _large_pass(ds, a: str = "image_id", b: str = "cluster_id"):
+    """The Large-Star pass over the (a, b) links of ``ds``, both ways."""
+    def symmetric(t: pa.Table) -> pa.Table:
+        x, y = t[a].combine_chunks(), t[b].combine_chunks()
+        return pa.table({"image_id": pa.concat_arrays([x, y]),
+                         "nbr": pa.concat_arrays([y, x])})
+
+    return joins.keyed_map(ds.map_batches(symmetric, batch_format="pyarrow"),
+                           ["image_id"], _large_star)
 
 
 def distributed_components(edges_ds, cfg: DedupConfig):
-    """Min-label propagation, hooking and pointer jumping in Ray Data.
-    Returns a Dataset (image_id, cluster_id) covering every node appearing
-    in edges.
+    """Star contraction in Ray Data: (left_id, right_id) edges ->
+    (image_id, cluster_id, cluster_size) for every node in a non-loop edge.
 
-    Each round does (a) neighbor min-propagation, (b) hooking (the
-    neighbor's label also lowers the node's label's label) and (c) a
-    pointer-jump shortcut (label <- label's label).  Without (b) a long
-    path with shuffled ids needs rounds on the order of its length; with
-    it, ~log2 of its length (7 for a 300-node path) (ADVICE round 1 #3).
-    The round's aggregation also keeps each node's previous label as
-    ``own``; the loop stops on the first round in which no label fell
-    below it.  Labels only fall and every label is a node of the same
-    component, so the loop ends; once no min-step label falls every edge
-    joins equal labels and hooking and the pointer jump change nothing.
-    Each label aggregation takes the combine tree or the keyed exchange by
-    its own measured partials (``agg.grouped_agg``)."""
-    import pyarrow.compute as pc
-    from .agg import grouped_agg
-    from .joins import attach_by_key
-
-    def symmetric(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "image_id": pa.concat_arrays([batch["left_id"].combine_chunks(),
-                                          batch["right_id"].combine_chunks()]),
-            "nbr": pa.concat_arrays([batch["right_id"].combine_chunks(),
-                                     batch["left_id"].combine_chunks()]),
-        })
-
-    # one block per SMALL_BYTES of edges: every round runs a task per block
-    # of ``sym``, and the pipelines hand in a union of two edge tables
-    # (verified pairs and exact-dup edges) with the blocks of both
-    nb = -(-(edges_ds.size_bytes() or 0) // SMALL_BYTES)
-    sym = edges_ds.repartition(max(1, nb)).map_batches(
-        symmetric, batch_format="pyarrow").materialize()
-
-    def min_label(ds, cols):
-        return grouped_agg(ds, ["image_id"], [(c, "min", c) for c in cols])
-
-    def pointer_jump(labels):
-        # label <- label[label]: every label IS a node id, so the lookup
-        # table is labels itself re-keyed by image_id
-        parents = labels.map_batches(
-            lambda b: pa.table({"label": b["image_id"],
-                                "parent": b["label"]}),
-            batch_format="pyarrow")
-        j = attach_by_key(labels, parents, ["label"], how="left")
-        return j.map_batches(
-            lambda b: pa.table({
-                "image_id": b["image_id"],
-                "label": pc.coalesce(b["parent"], b["label"]),
-                "own": b["own"]}),
-            batch_format="pyarrow")
-
-    # labels: min neighbor vs self per node
-    labels = min_label(sym.map_batches(
-        lambda b: pa.table({
-            "image_id": b["image_id"],
-            "label": pc.min_element_wise(b["nbr"], b["image_id"])}),
-        batch_format="pyarrow"), ["label"]).materialize()
-
+    Both passes keep every component connected, link only nodes of one
+    component, and never raise the least id a node is linked to.  Their
+    only common fixpoint is one star per component centred on its minimum
+    id, which a large-star pass sees exactly when every node is a root
+    (all neighbours larger) or a leaf (one neighbour, a smaller one): a
+    leaf's neighbour has a larger neighbour, so it is a root, and a root's
+    neighbours have a smaller one, so they are leaves.  That pass's rows
+    (with each star's size) are the answer; later passes keep the stars.
+    Rounds are small-star, large-star, large-star after one large-star
+    pass: the alternation Kiveris et al. bound by O(log^2 n) rounds plus a
+    pointer-jump pass, the only one tested (one Ray execution, one count)."""
+    if edges_ds.count() == 0:
+        return rd.from_arrow(_EMPTY_COMPONENTS)
+    stars = _large_pass(edges_ds, "left_id", "right_id")
     while True:
-        # each edge row carries both ends' labels; the neighbour's label
-        # flows to the node (min-propagation) AND to the node's label
-        # (hooking, as in Shiloach-Vishkin).  Only the node's own row
-        # fills ``own``, so it keeps the old label.
-        prop = attach_by_key(sym, labels, ["image_id"])
-        prop = attach_by_key(
-            prop, labels.rename_columns({"image_id": "nbr",
-                                         "label": "nbr_label"}),
-            ["nbr"])
-        cand = prop.map_batches(
-            lambda b: pa.table({
-                "image_id": pa.concat_arrays(
-                    [b["image_id"].combine_chunks(),
-                     b["label"].combine_chunks()]),
-                "label": pa.concat_arrays([b["nbr_label"].combine_chunks()] * 2),
-                "own": pa.nulls(2 * b.num_rows, b["label"].type)}),
-            batch_format="pyarrow")
-        own = labels.map_batches(
-            lambda b: b.append_column("own", b["label"]),
-            batch_format="pyarrow")
-        new_labels = pointer_jump(
-            min_label(cand.union(own), ["label", "own"])).materialize()
-        labels = new_labels.select_columns(["image_id", "label"])
-        # labels only fall: none fell -> fixpoint
-        if new_labels.filter(expr="label < own").count() == 0:
-            break
-    return labels.rename_columns({"label": "cluster_id"})
+        small = joins.keyed_map(stars, ["image_id"], _small_star)
+        stars = _large_pass(_large_pass(small)).materialize()
+        if stars.filter(expr="is_null(cluster_size)").count() == 0:
+            return stars
 
 
 def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
@@ -161,40 +164,18 @@ def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
     is_representative).
 
     Components come from the vectorized driver union-find when the edges
-    fit one task and number at most ``cfg.driver_cc_max_pairs`` (one typed
-    block, sizes counted in pandas) and from distributed label propagation
-    otherwise (sizes from a grouped count, attached by ``cluster_id``);
+    fit one task and number at most ``cfg.driver_cc_max_pairs``, and from
+    distributed star contraction otherwise (or when there is no edge);
     ``assign_clusters`` then covers every valid id."""
-    import ray.data as rd
-    from .agg import grouped_agg
-    from .joins import attach_by_key, fits_one_task
-
     edges_ds = edges_ds.select_columns(["left_id", "right_id"]).materialize()
-    if not fits_one_task(edges_ds, cfg.driver_cc_max_pairs):
-        comp = distributed_components(edges_ds, cfg)
-        sizes = grouped_agg(comp, ["cluster_id"],
-                            [("image_id", "count", "cluster_size")])
-        comp = attach_by_key(comp, sizes, ["cluster_id"])
+    if edges_ds.count() and joins.fits_one_task(edges_ds,
+                                                cfg.driver_cc_max_pairs):
+        comp = rd.from_arrow(pa.Table.from_pandas(
+            driver_union_find(joins._collect(edges_ds).to_pandas()),
+            schema=_EMPTY_COMPONENTS.schema, preserve_index=False))
     else:
-        comp_df = driver_union_find(_collect(edges_ds).to_pandas()) \
-            if edges_ds.count() else \
-            pd.DataFrame({"image_id": [], "cluster_id": []})
-        comp = rd.from_arrow(pa.table({
-            "image_id": pa.array(comp_df["image_id"], pa.string()),
-            "cluster_id": pa.array(comp_df["cluster_id"], pa.string()),
-            "cluster_size": pa.array(
-                comp_df.groupby("cluster_id")["cluster_id"].transform("size"),
-                pa.int64()),
-        }))
+        comp = distributed_components(edges_ds, cfg)
     return assign_clusters(all_ids_ds, comp, cfg)
-
-
-# the table ``assign_clusters`` emits, for an input with no valid row
-EMPTY_CLUSTERS = pa.table({
-    "image_id": pa.array([], pa.string()),
-    "cluster_id": pa.array([], pa.string()),
-    "cluster_size": pa.array([], pa.int64()),
-    "is_representative": pa.array([], pa.bool_())})
 
 
 def assign_clusters(all_ids_ds, components_ds, cfg: DedupConfig):
@@ -203,10 +184,6 @@ def assign_clusters(all_ids_ds, components_ds, cfg: DedupConfig):
     its cluster_id (the component minimum).  ``components_ds`` holds
     (image_id, cluster_id, cluster_size) for the nodes in some edge;
     broadcast when small, else partitioned join."""
-    import pyarrow.compute as pc
-
-    from .joins import attach_by_key
-
     def fill(b: pa.Table) -> pa.Table:
         # a block with no component member comes back from the pandas
         # merge with null-typed columns, which coalesce rejects
@@ -218,5 +195,6 @@ def assign_clusters(all_ids_ds, components_ds, cfg: DedupConfig):
                          "cluster_size": size,
                          "is_representative": pc.equal(own, cid)})
 
-    out = attach_by_key(all_ids_ds, components_ds, ["image_id"], how="left")
+    out = joins.attach_by_key(all_ids_ds, components_ds, ["image_id"],
+                              how="left")
     return out.map_batches(fill, batch_format="pyarrow")

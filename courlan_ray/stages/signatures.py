@@ -8,9 +8,9 @@ to size and none that can hold the only CPU and starve the read stage.
 
 Per batch: decode pixels -> recompute phash (verifying the
 precomputed ``phash`` column) + pixel SimHash; caption shingles -> MinHash
-signature + caption SimHash; winnowing substring fingerprints.  Decoded
-pixels are dropped before return — only narrow signature columns ever reach
-a shuffle (SURVEY.md §4 memory row).
+signature; winnowing substring fingerprints.  Decoded pixels are dropped
+before return — only narrow signature columns ever reach a shuffle
+(SURVEY.md §4 memory row).
 
 With ``with_gates=True`` the stage runs the canonicalization gate chain
 (stages/canonicalize.py, the check_url generalization) on the raw batch
@@ -30,11 +30,11 @@ Output schema (the "sigtable"; ``caption_signatures`` builds the caption
 columns for the image and the text pipeline alike):
   image_id, caption_key, valid, reject_reason,
   minhash: fixed_size_list<int32>[num_perm] (low 32 bits of each
-  min-hash), simhash_cap: int64, simhash_pix: int64, phash: int64
-  (recomputed; input value when decode fails), fingerprints: list<int64>
-  (sorted per row), fp_pairs: list<int64> (adjacent-print pair hashes),
-  shingle_count: int32, decode_ok: bool.  ``text_sigtable`` (the text
-  pipeline) has no valid / reject_reason columns and zero pixel columns.
+  min-hash), simhash_pix: int64, phash: int64 (recomputed; input value
+  when decode fails), fingerprints: list<int64> (sorted per row),
+  fp_pairs: list<int64> (adjacent-print pair hashes), decode_ok: bool.
+  ``text_sigtable`` (the text pipeline) has no valid / reject_reason
+  columns and zero pixel columns.
   ``(caption_key, phash)`` is the exact-dup key (stages/exact_dedup.py).
 """
 
@@ -46,7 +46,7 @@ import pyarrow as pa
 from ..config import DedupConfig
 from ..functions import imagecodec as codec
 from ..functions.hashing import (adjacent_pair_hashes, char_shingle_hashes,
-                                 hash_strings, minhash_signatures, simhash64,
+                                 hash_strings, minhash_signatures,
                                  sort_segments, splitmix64,
                                  winnowing_fingerprints)
 
@@ -122,16 +122,15 @@ def caption_signatures(captions: list, cfg: DedupConfig,
                        rows: np.ndarray | None = None,
                        n: int | None = None) -> dict[str, pa.Array]:
     """The caption channel of the sigtable, shared by the image and text
-    pipelines: shingles -> MinHash + caption SimHash, winnowing prints ->
-    adjacent-print pair hashes.  Returns the ``minhash``, ``simhash_cap``,
-    ``fingerprints``, ``fp_pairs`` and ``shingle_count`` columns.
+    pipelines: shingles -> MinHash, winnowing prints -> adjacent-print
+    pair hashes.  Returns the ``minhash``, ``fingerprints`` and
+    ``fp_pairs`` columns.
 
     With ``rows``, result i belongs at row ``rows[i]`` of an ``n``-row
     batch; the other rows get zero signatures and empty print lists."""
     sh, counts = char_shingle_hashes(captions, cfg.shingle_width,
                                      seed=cfg.seed)
     minh = minhash_signatures(sh, counts, cfg.num_perm, seed=cfg.seed + 1)
-    sim = simhash64(sh, counts)
     fps, fp_counts = winnowing_fingerprints(
         captions, cfg.fingerprint_k, cfg.fingerprint_window,
         seed=cfg.seed + 2)
@@ -147,13 +146,9 @@ def caption_signatures(captions: list, cfg: DedupConfig,
     return {
         "minhash": pa.FixedSizeListArray.from_arrays(
             pa.array(mh32.view(np.int32).ravel(), pa.int32()), cfg.num_perm),
-        "simhash_cap": pa.array(_scatter(sim, rows, n).view(np.int64),
-                                pa.int64()),
         # empty-row print lists: a zero count adds no flat values
         "fingerprints": _list_column(fps, _scatter(fp_counts, rows, n)),
         "fp_pairs": _list_column(fpp, _scatter(fpp_counts, rows, n)),
-        "shingle_count": pa.array(
-            _scatter(counts, rows, n).astype(np.int32), pa.int32()),
     }
 
 
@@ -168,12 +163,10 @@ def text_sigtable(ids: pa.Array, captions: pa.Array,
         "image_id": ids,
         "caption_key": captions,
         "minhash": cap["minhash"],
-        "simhash_cap": cap["simhash_cap"],
         "simhash_pix": zeros,
         "phash": zeros,
         "fingerprints": cap["fingerprints"],
         "fp_pairs": cap["fp_pairs"],
-        "shingle_count": cap["shingle_count"],
         "decode_ok": pa.array(np.ones(n, dtype=bool)),
     })
 
@@ -221,23 +214,31 @@ def signature_batch(batch: pa.Table, cfg: DedupConfig,
         "valid": pa.array(valid),
         "reject_reason": reject,
         "minhash": cap["minhash"],
-        "simhash_cap": cap["simhash_cap"],
         "simhash_pix": pa.array(simpix.view(np.int64), pa.int64()),
         "phash": pa.array(phash.view(np.int64), pa.int64()),
         "fingerprints": cap["fingerprints"],
         "fp_pairs": cap["fp_pairs"],
-        "shingle_count": cap["shingle_count"],
         "decode_ok": pa.array(ok),
     })
 
 
+def sigtable_map(ds, kernel, **map_kw):
+    """``kernel`` (input batch -> sigtable batch) over ``ds`` as stateless
+    Ray Data tasks, materialized.  Ray calls no kernel on a zero-row input,
+    so that map output has no schema, which a checkpoint cannot write and
+    the dedup chain cannot read; it is replaced by the kernel's own output
+    for an empty batch of the input's columns."""
+    import ray.data as rd
+
+    out = ds.map_batches(kernel, batch_format="pyarrow", **map_kw).materialize()
+    if out.schema() is None:
+        out = rd.from_arrow(kernel(ds.schema().base_schema.empty_table()))
+    return out
+
+
 def compute_signatures(ds, cfg: DedupConfig, *, with_gates: bool = False):
-    """Rows -> signature table as stateless Ray Data tasks; the binary
-    payload is consumed here and never emitted.  ``with_gates=True`` fuses
-    the canonicalization gate chain in front (see module docstring)."""
-    return ds.map_batches(
-        signature_batch,
-        fn_kwargs={"cfg": cfg, "with_gates": with_gates},
-        batch_format="pyarrow",
-        batch_size=cfg.signature_batch_size,
-    )
+    """Rows -> signature table (``sigtable_map``); the binary payload is
+    consumed here and never emitted.  ``with_gates=True`` fuses the
+    canonicalization gate chain in front (see module docstring)."""
+    return sigtable_map(ds, lambda b: signature_batch(b, cfg, with_gates),
+                        batch_size=cfg.signature_batch_size)

@@ -158,6 +158,35 @@ def test_run_persists_empty_stage(tmp_path):
     assert out2.count() == 0 and out2.schema().names == ["left_id", "right_id"]
 
 
+def test_zero_rows_fresh_and_resumed(synth_path, tmp_path):
+    """Both pipelines on zero input rows under a Checkpoint: the fresh run
+    persists a typed empty sigtable, the resumed run reads it back, and
+    each returns the typed empty clusters."""
+    import pyarrow as pa
+    import ray.data as rd
+    from courlan_ray.pipelines.text_dedup import text_dedup_pipeline
+    from courlan_ray.stages.components import EMPTY_CLUSTERS
+    cfg = DedupConfig()
+    docs = pa.table({"doc_id": pa.array([], pa.int64()),
+                     "text": pa.array([], pa.string())})
+    runs = {
+        "image": lambda ck: dedup_pipeline(
+            rd.read_parquet(synth_path).filter(expr="w < 0"), cfg,
+            checkpoint=ck),
+        "text": lambda ck: text_dedup_pipeline(rd.from_arrow(docs), cfg,
+                                               checkpoint=ck)}
+    want = dict(zip(EMPTY_CLUSTERS.schema.names, EMPTY_CLUSTERS.schema.types))
+    for name, run in runs.items():
+        for status in ("computed", "skipped"):
+            ck = Checkpoint(str(tmp_path / name), cfg)
+            clusters = run(ck)["clusters"]
+            schema = clusters.schema()
+            assert clusters.count() == 0, name
+            assert dict(zip(schema.names, schema.types)) == want, name
+            assert {r["stage"]: r["status"] for r in ck.records()} == \
+                {"sigtable": status}, name
+
+
 def test_run_sharded_no_spurious_partition_column(tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq

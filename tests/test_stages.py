@@ -86,8 +86,9 @@ def test_driver_union_find():
     assert out["x"] == out["y"] == "x"
 
 
-def test_distributed_components_matches_union_find():
+def test_distributed_components_matches_union_find(monkeypatch):
     import ray.data as rd
+    from courlan_ray.stages import joins
     from courlan_ray.stages.components import (driver_union_find,
                                                distributed_components)
     rng = np.random.default_rng(5)
@@ -98,17 +99,42 @@ def test_distributed_components_matches_union_find():
         "right_id": [nodes[i] for i in rng.integers(0, 60, 80)],
     })
     random_edges = random_edges[random_edges.left_id != random_edges.right_id]
-    # one 300-node path whose ids are shuffled along it: labels must fall
-    # across many rounds before the fixpoint test may stop the loop
+    # one 300-node path whose ids are shuffled along it: links must contract
+    # over many passes before the fixpoint test may stop the loop
     path = [f"p{i:03d}" for i in rng.permutation(300)]
     path_edges = pd.DataFrame({"left_id": path[:-1], "right_id": path[1:]})
+    # the same length with ids increasing along it, which strict
+    # Large-Star/Small-Star alternation contracts slower than shuffled ids
+    rising = [f"q{i:03d}" for i in range(300)]
+    rising_edges = pd.DataFrame({"left_id": rising[:-1],
+                                 "right_id": rising[1:]})
+    kernels = []
+    keyed_map = joins.keyed_map
+
+    def spy(*args, **kwargs):
+        kernels.append(args[2].__name__)
+        return keyed_map(*args, **kwargs)
+
+    monkeypatch.setattr(joins, "keyed_map", spy)
     cfg = DedupConfig()
-    for edges in (random_edges.reset_index(drop=True), path_edges):
+    for edges in (random_edges.reset_index(drop=True), path_edges,
+                  rising_edges):
+        kernels.clear()
         want = driver_union_find(edges).sort_values("image_id") \
             .reset_index(drop=True)
         got = distributed_components(rd.from_pandas(edges), cfg).to_pandas() \
             .sort_values("image_id").reset_index(drop=True)
         pd.testing.assert_frame_equal(want, got, check_dtype=False)
+        assert kernels.count("_large_star") <= 12
+    # no edge, on the keyed side: a typed empty component table
+    with joins.exchanges_only():
+        none = distributed_components(rd.from_pandas(path_edges.iloc[:0]),
+                                      cfg)
+        schema = none.schema()
+        assert none.count() == 0
+        assert dict(zip(schema.names, map(str, schema.types))) == {
+            "image_id": "string", "cluster_id": "string",
+            "cluster_size": "int64"}
 
 
 def _planted_clique_sigs(cfg):

@@ -121,8 +121,7 @@ def test_text_and_image_signatures_agree():
     t = pa.concat_tables(ray.get(txt.to_arrow_refs())).sort_by("image_id")
     i = pa.concat_tables(ray.get(img.to_arrow_refs())).sort_by("image_id")
     assert t["image_id"].to_pylist() == i["image_id"].to_pylist()
-    for col in ("minhash", "simhash_cap", "fingerprints", "fp_pairs",
-                "shingle_count"):
+    for col in ("minhash", "fingerprints", "fp_pairs"):
         assert t[col].combine_chunks().equals(i[col].combine_chunks()), col
     assert sum(len(f) for f in t["fp_pairs"].to_pylist()) > 0
 
