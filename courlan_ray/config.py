@@ -72,7 +72,8 @@ class DedupConfig:
                                            # joins.SMALL_BYTES ->
                                            # broadcast exact-id probe; above
                                            # -> partitioned pair<->signature
-                                           # join (both: joins.hash_join_pairs)
+                                           # join (both: joins.hash_join_pairs);
+                                           # caps exact_dup_edges' driver pass too
 
     # --- seed of every hash family (shingles, bands, salts) ---
     seed: int = 8675309

@@ -84,7 +84,7 @@ def dedup_sigtable(sigs, cfg: DedupConfig, *, checkpoint=None) -> tuple:
     union -> components.  Returns the Datasets (clusters, scored pairs,
     ``sigs`` typed even when empty)."""
     import ray.data as rd
-    from ..stages.joins import filter_by_keys
+    from ..stages.joins import filter_by_keys, one_place
 
     if sigs.count() == 0:           # no row: typed empty outputs
         return (rd.from_arrow(EMPTY_CLUSTERS), rd.from_arrow(_EMPTY_OUT),
@@ -98,10 +98,16 @@ def dedup_sigtable(sigs, cfg: DedupConfig, *, checkpoint=None) -> tuple:
                    lambda: candidate_pairs(survivors, cfg))
     scored = _stage(checkpoint, "verified_pairs",
                     lambda: verify_pairs(cands, sigs, cfg))
-    verified = scored.filter(expr="verified == True")
-
-    edges = verified.select_columns(["left_id", "right_id"]).union(
-        keyed_edges.select_columns(["left_id", "right_id"]))
+    # on the driver when the parents fit one task; else components measure
+    pair = ["left_id", "right_id"]
+    parts = [one_place(scored, pair + ["verified"]),
+             one_place(keyed_edges, pair)]
+    if None in parts:
+        edges = scored.filter(expr="verified == True").select_columns(
+            pair).union(keyed_edges.select_columns(pair))
+    else:
+        edges = rd.from_arrow(pa.concat_tables(
+            [parts[0].filter(parts[0]["verified"]).select(pair), parts[1]]))
     all_ids = sigs.select_columns(["image_id"])
     return cluster_assignments(edges, all_ids, cfg), scored, sigs
 

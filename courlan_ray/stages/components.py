@@ -26,6 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 from ..config import DedupConfig
@@ -148,14 +149,16 @@ def distributed_components(edges_ds, cfg: DedupConfig):
     (with each star's size) are the answer; later passes keep the stars.
     Rounds are small-star, large-star, large-star after one large-star
     pass: the alternation Kiveris et al. bound by O(log^2 n) rounds plus a
-    pointer-jump pass, the only one tested (one Ray execution, one count)."""
-    if edges_ds.count() == 0:
-        return rd.from_arrow(_EMPTY_COMPONENTS)
+    pointer-jump pass, the only one tested (one Ray execution per round,
+    whose unsettled rows one Ray task per block counts)."""
+    nulls = ray.remote(lambda b: b.num_rows and b["cluster_size"].null_count)
     stars = _large_pass(edges_ds, "left_id", "right_id")
     while True:
         small = joins.keyed_map(stars, ["image_id"], _small_star)
         stars = _large_pass(_large_pass(small)).materialize()
-        if stars.filter(expr="is_null(cluster_size)").count() == 0:
+        if stars.count() == 0:                  # no edge, or only loops
+            return rd.from_arrow(_EMPTY_COMPONENTS)
+        if not sum(ray.get([nulls.remote(b) for b in stars.to_arrow_refs()])):
             return stars
 
 
@@ -163,18 +166,20 @@ def cluster_assignments(edges_ds, all_ids_ds, cfg: DedupConfig):
     """edges + all valid ids -> (image_id, cluster_id, cluster_size,
     is_representative).
 
-    Components come from the vectorized driver union-find when the edges
-    fit one task and number at most ``cfg.driver_cc_max_pairs``, and from
-    distributed star contraction otherwise (or when there is no edge);
-    ``assign_clusters`` then covers every valid id."""
-    edges_ds = edges_ds.select_columns(["left_id", "right_id"]).materialize()
-    if edges_ds.count() and joins.fits_one_task(edges_ds,
-                                                cfg.driver_cc_max_pairs):
-        comp = rd.from_arrow(pa.Table.from_pandas(
-            driver_union_find(joins._collect(edges_ds).to_pandas()),
-            schema=_EMPTY_COMPONENTS.schema, preserve_index=False))
-    else:
+    The side is read from the materialized edges (``joins.one_place``;
+    ``dedup_sigtable`` builds them on the driver when their materialized
+    parents fit one task): edges within ``cfg.driver_cc_max_pairs`` go to
+    the vectorized driver union-find, the rest to distributed star
+    contraction; ``assign_clusters`` then covers every valid id."""
+    edges_ds = edges_ds.materialize()
+    edges = joins.one_place(edges_ds, ["left_id", "right_id"],
+                            cfg.driver_cc_max_pairs)
+    if edges is None:
         comp = distributed_components(edges_ds, cfg)
+    else:
+        comp = rd.from_arrow(pa.Table.from_pandas(
+            driver_union_find(edges.to_pandas()),
+            schema=_EMPTY_COMPONENTS.schema, preserve_index=False))
     return assign_clusters(all_ids_ds, comp, cfg)
 
 

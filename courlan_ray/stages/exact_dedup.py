@@ -60,13 +60,13 @@ def _edges_from_block(tbl: pa.Table, id_col: str) -> pa.Table:
 def exact_dup_edges(sig_ds, cfg: DedupConfig, id_col: str = "image_id"):
     """(left_id=keeper, right_id=dropped) edges from the narrow projection.
 
-    Size-adaptive (``joins.kernel_by_key``): a narrow table that fits one
-    task and has at most ``cfg.verify_broadcast_max`` rows is linked in
-    one vectorized driver pass; above it one keyed exchange lands every
-    ``(caption_key, phash)`` wholly in one block and the same block kernel
-    runs per block — no driver materialization."""
+    Size-adaptive (``joins.kernel_by_key``, which reads the materialized
+    ``sig_ds``): a narrow table that fits one task and has at most
+    ``cfg.verify_broadcast_max`` rows is linked in one vectorized driver
+    pass; above it one keyed exchange lands every ``(caption_key, phash)``
+    wholly in one block and the same block kernel runs per block — no
+    driver materialization."""
     from .joins import kernel_by_key
 
-    return kernel_by_key(
-        sig_ds.select_columns(KEYS + [id_col]), KEYS,
-        lambda b: _edges_from_block(b, id_col), cfg.verify_broadcast_max)
+    return kernel_by_key(sig_ds, KEYS, lambda b: _edges_from_block(b, id_col),
+                         cfg.verify_broadcast_max, cols=KEYS + [id_col])

@@ -77,15 +77,11 @@ def exchanges_only():
         _EXCHANGES_ONLY.reset(token)
 
 
-def fits_one_task(ds, max_rows: int | None = None) -> bool:
+def fits_one_task(ds) -> bool:
     """Whether the materialized ``ds`` is small enough to hold in one
-    place: at most ``SMALL_BYTES`` and, when given, ``max_rows`` rows.
-    Both are block-metadata reads, so nothing executes again."""
-    if _EXCHANGES_ONLY.get():
-        return False
-    if max_rows is not None and ds.count() > max_rows:
-        return False
-    return (ds.size_bytes() or 0) <= SMALL_BYTES    # None: no blocks
+    place: at most ``SMALL_BYTES`` (block metadata, so nothing executes
+    again; no block counts 0 bytes; the row caps are ``one_place``'s)."""
+    return not _EXCHANGES_ONLY.get() and (ds.size_bytes() or 0) <= SMALL_BYTES
 
 
 def cluster_cpus() -> int:
@@ -182,34 +178,49 @@ def keyed_map(ds, keys: list[str], kernel):
             .map_batches(run, batch_format="pyarrow", batch_size=None))
 
 
-def kernel_by_key(ds, keys: list[str], kernel, max_rows: int | None = None):
-    """``kernel`` over ``ds`` with every ``keys`` tuple whole in one call:
-    one driver call over the collected input when it fits one task, else
-    once per block of ``keyed_map``."""
+def one_place(ds, cols: list[str] | None = None, max_rows: int | None = None):
+    """The ``cols`` (default: all) of the materialized ``ds`` as one driver
+    table, or None (also for a schema-less empty).  ``max_rows`` refuses
+    first; a ``ds`` within ``SMALL_BYTES`` is collected and projected here,
+    and only one over it has its projection materialized and measured."""
+    ds = ds.materialize()
+    if _EXCHANGES_ONLY.get() or max_rows is not None and ds.count() > max_rows:
+        return None
+    if not fits_one_task(ds):
+        ds = (ds.select_columns(cols) if cols else ds).materialize()
+        if not fits_one_task(ds):
+            return None
+    tbl = _collect(ds)
+    return (tbl.select(cols) if cols else tbl) if tbl.num_columns else None
+
+
+def kernel_by_key(ds, keys: list[str], kernel, max_rows: int | None = None,
+                  cols: list[str] | None = None):
+    """``kernel`` over the ``cols`` (default: all) of ``ds`` with every
+    ``keys`` tuple whole in one call: once on the ``one_place`` table of
+    the materialized ``ds``, else per ``keyed_map`` block (fused project)."""
     import ray.data as rd
 
     ds = ds.materialize()
-    if fits_one_task(ds, max_rows):
-        tbl = _collect(ds)
-        if tbl.num_columns:       # a schema-less empty takes the keyed side
-            return rd.from_arrow(kernel(tbl))
-    return keyed_map(ds, keys, kernel)
+    tbl = one_place(ds, cols, max_rows)
+    if tbl is not None:
+        return rd.from_arrow(kernel(tbl))
+    return keyed_map(ds.select_columns(cols) if cols else ds, keys, kernel)
 
 
 def filter_by_keys(ds, keys_ds, key_col: str, *, keep: bool,
                    keys_col: str | None = None):
     """Semi (keep=True) or anti (keep=False) join of ``ds`` against the key
     column ``keys_col`` (default ``key_col``) of ``keys_ds``: a broadcast
-    probe when the key column fits one task, a partitioned join above."""
+    probe when the materialized column fits one task (``one_place``), a
+    partitioned semi or anti join above."""
     kc = keys_col or key_col
-    keys = keys_ds.select_columns([kc]).materialize()
-    if keys.count() == 0:
-        return ds if not keep else ds.limit(0)
-    if fits_one_task(keys):
+    keys_ds = keys_ds.materialize()
+    key_tbl = one_place(keys_ds, [kc])
+    if key_tbl is not None:
         # Arrow-native collect: concat the key column's blocks and dedup
         # with the hash kernel — never take_all() row dicts (a 5M-key side
         # would build 5M Python dicts on the driver just to read one field)
-        key_tbl = _collect(keys)
         ref = ray.put(safe_combine(key_tbl[kc]).unique())
 
         def probe(batch: pa.Table) -> pa.Table:
@@ -220,15 +231,8 @@ def filter_by_keys(ds, keys_ds, key_col: str, *, keep: bool,
             return batch.filter(mask)
 
         return ds.map_batches(probe, batch_format="pyarrow")
-
-    # large key side: partitioned join on the key
-    marker = keys.map_batches(
-        lambda t: t.append_column("__hit", pa.array(np.ones(t.num_rows, dtype=bool))),
-        batch_format="pyarrow")
-    joined = _join(ds, marker, "left_outer", on=(key_col,), right_on=(kc,))
-    pred = (lambda t: t.filter(pc.is_valid(t["__hit"]))) if keep else \
-           (lambda t: t.filter(pc.is_null(t["__hit"])))
-    return joined.map_batches(pred, batch_format="pyarrow").drop_columns(["__hit"])
+    return _join(ds, keys_ds, "left_semi" if keep else "left_anti",
+                 on=(key_col,), right_on=(kc,), cols=[])
 
 
 def attach_by_key(left_ds, right_ds, on: list[str], *, how: str = "inner"):
@@ -237,17 +241,13 @@ def attach_by_key(left_ds, right_ds, on: list[str], *, how: str = "inner"):
     ``ray.put`` and merged with vectorized pandas inside ``map_batches``
     (no exchange); a larger one goes through the partitioned sort-merge
     ``_join``."""
-    # materialized: its size is then block metadata and the collect below
-    # doesn't re-execute
-    right_ds = right_ds.materialize()
-    if fits_one_task(right_ds):
-        small_df = _collect(right_ds).to_pandas()
-        ref = ray.put(small_df)           # converted ONCE, shipped once
-
-        merge_how = "inner" if how == "inner" else "left"
+    right_ds = right_ds.materialize()     # its size is then block metadata
+    small = one_place(right_ds)
+    if small is not None:
+        ref = ray.put(small.to_pandas())  # converted ONCE, shipped once
 
         def attach(batch):
-            return batch.merge(cached_get(ref), how=merge_how, on=on)
+            return batch.merge(cached_get(ref), how=how, on=on)
 
         return left_ds.map_batches(attach, batch_format="pandas")
     return _join(left_ds, right_ds, "inner" if how == "inner" else "left_outer",
@@ -258,17 +258,16 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
                     max_rows: int | None = None):
     """Attach payload columns for both sides of a (left_id, right_id) pair
     table; a pair with either id missing from the payload is dropped, and
-    a repeated payload id resolves to its first row.  A payload that fits
-    one task (``fits_one_task`` with ``max_rows``) is broadcast with an
-    exact ``pd.Index`` over its ids; a larger one goes through two
-    partitioned joins, one per pair side (there a repeated payload id
-    gives one row per copy)."""
-    cols = [id_col] + payload_cols
-    narrow = payload_ds.select_columns(cols).materialize()
-    if fits_one_task(narrow, max_rows):
+    a repeated payload id resolves to its first row.  Payload columns that
+    fit one task (``one_place`` of the materialized ``payload_ds`` with
+    ``max_rows``) are broadcast with an exact ``pd.Index`` over the ids;
+    else two chained partitioned joins, one per pair side, run in one
+    execution (there a repeated payload id gives one row per copy)."""
+    payload_ds, payload_fields = _arrow_materialized(payload_ds)
+    tbl = one_place(payload_ds, [id_col] + payload_cols, max_rows)
+    if tbl is not None:
         import pandas as pd
 
-        tbl = _collect(narrow)
         index = pd.Index(tbl[id_col].to_pandas())
         first = ~index.duplicated()
         # combine chunks BEFORE broadcasting: take() over a chunked table
@@ -298,26 +297,30 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
         return pairs_ds.map_batches(lambda b: sliced(b, attach, 8192),
                                     batch_format="pyarrow", batch_size=None)
 
+    pairs_ds, fields = _arrow_materialized(pairs_ds)
+    chain = pairs_ds.count() > 0
     for side, suffix in (("left", "_l"), ("right", "_r")):
-        pairs_ds = _join(pairs_ds,
-                         narrow.rename_columns({c: c + suffix for c in cols}),
-                         "inner", on=(f"{side}_id",),
-                         right_on=(id_col + suffix,))
+        pairs_ds = _join(pairs_ds, payload_ds, "inner", on=(f"{side}_id",),
+                         right_on=(id_col,), cols=payload_cols, suffix=suffix,
+                         left_fields=fields if side == "right" and chain
+                         else None)
+        fields = list(fields) + [payload_fields.field(c).with_name(
+            c + suffix) for c in payload_cols]
     return pairs_ds
 
 
 def _arrow_materialized(ds):
-    """``ds`` materialized with Arrow blocks, and its columns as Arrow
-    fields (none when it has no schema).  Pandas blocks (``from_pandas``)
-    report numpy dtypes, so they are converted first."""
+    """``ds`` materialized with Arrow blocks, and its Arrow schema (empty
+    when it has none).  Pandas blocks (``from_pandas``) report numpy
+    dtypes, so they are converted first."""
     ds = ds.materialize()
     schema = ds.schema()
     if schema is None:
-        return ds, []
+        return ds, pa.schema([])
     if not all(isinstance(t, pa.DataType) for t in schema.types):
         ds = strip_metadata(ds).materialize()
         schema = ds.schema()
-    return ds, [pa.field(n, t) for n, t in zip(schema.names, schema.types)]
+    return ds, pa.schema(zip(schema.names, schema.types))
 
 
 def _union_type(t: pa.DataType) -> pa.DataType:
@@ -331,41 +334,49 @@ def _union_type(t: pa.DataType) -> pa.DataType:
 
 
 def _join(left, right, join_type: str, *, on: tuple,
-          right_on: tuple | None = None):
-    """Sort-merge join (``inner`` or ``left_outer``) on the key columns
-    ``on`` / ``right_on``: left columns, then right non-key columns; a
-    repeated right key gives one row per copy; null keys match nothing.
+          right_on: tuple | None = None, cols: list[str] | None = None,
+          suffix: str = "", left_fields: list | None = None):
+    """Sort-merge join (``inner``, ``left_outer``, ``left_semi`` or
+    ``left_anti``) on the key columns ``on`` / ``right_on``: left columns,
+    then the right columns ``cols`` (default: all non-key) renamed with
+    ``suffix``; a repeated right key gives one row per copy; null keys
+    match nothing.  Fields come from the materialized parents' schemas
+    (``left_fields`` for a lazy ``left``).
 
-    Both sides are tagged and unioned under one schema (the other side's
-    columns as typed nulls) and go through ONE ``keyed_map``; each block
-    then joins only its key columns plus a row index with an exact
-    ``pa.Table.join`` and gathers the payload columns by index, so list
-    payloads never meet acero's join.  A side with no rows short-circuits
-    to the typed result: empty for an inner join or an empty left side,
-    the left rows with null right columns otherwise."""
+    Both sides are tagged (the right one projected and renamed there),
+    unioned under one schema (the other side's columns as typed nulls)
+    and go through ONE ``keyed_map``; each block joins only its key
+    columns plus a row index with an exact ``pa.Table.join`` and gathers
+    the payload columns by index, so list payloads never meet acero's
+    join.  A side with no rows short-circuits to the typed result: the
+    left rows for a left outer or anti join, else empty."""
     import ray.data as rd
 
     right_on = right_on or on
-    left, lf = _arrow_materialized(left)
+    n_left = None                       # a lazy left: rows unknown
+    if left_fields is None:
+        left, left_fields = _arrow_materialized(left)
+        n_left = left.count()
     right, rf = _arrow_materialized(right)
-    extra = [f for f in rf if f.name not in right_on]
-    out_schema = pa.schema(lf + extra)
-    n_left = left.count()
-    if n_left and right.count():
-        carried = [pa.field(f.name, _union_type(f.type)) for f in lf + extra]
+    cols = [n for n in rf.names if n not in right_on] if cols is None else cols
+    extra = [rf.field(c).with_name(c + suffix) for c in cols]
+    out_schema = pa.schema(list(left_fields) + extra)
+    if n_left != 0 and right.count():
+        carried = [pa.field(f.name, _union_type(f.type)) for f in out_schema]
         union = pa.schema(carried + [pa.field("__right", pa.bool_())])
-        renames = dict(zip(right_on, on))
+        renames = dict(zip(right_on, on)) | {c: c + suffix for c in cols}
         how = join_type.replace("_", " ")           # acero's spelling
 
         def tag(is_right: bool):
             def fn(b: pa.Table) -> pa.Table:
-                b = b.rename_columns([renames.get(c, c) if is_right else c
-                                      for c in b.column_names])
+                if is_right:
+                    b = b.select(list(renames)).rename_columns(
+                        list(renames.values()))
                 n = b.num_rows
-                cols = [b[f.name].cast(f.type) if f.name in b.column_names
-                        else pa.nulls(n, f.type) for f in carried]
+                arrays = [b[f.name].cast(f.type) if f.name in b.column_names
+                          else pa.nulls(n, f.type) for f in carried]
                 return pa.Table.from_arrays(
-                    cols + [pa.array(np.full(n, is_right))], schema=union)
+                    arrays + [pa.array(np.full(n, is_right))], schema=union)
             return fn
 
         def merge(b: pa.Table) -> pa.Table:
@@ -378,20 +389,22 @@ def _join(left, right, join_type: str, *, on: tuple,
                                 names=list(on) + [pos])
 
             # acero emits matches in no fixed order; sort for a
-            # reproducible block
+            # reproducible block (a semi or anti join has no "__r")
             hits = keyed(lt, "__l").join(keyed(rt, "__r"), list(on),
-                                         join_type=how) \
-                .sort_by([("__l", "ascending"), ("__r", "ascending")])
-            cols = [lt[f.name].take(hits["__l"]).cast(f.type) for f in lf] \
+                                         join_type=how)
+            hits = hits.sort_by([(c, "ascending") for c in ("__l", "__r")
+                                 if c in hits.column_names])
+            arrays = [lt[f.name].take(hits["__l"]).cast(f.type)
+                      for f in left_fields] \
                 + [rt[f.name].take(hits["__r"]).cast(f.type) for f in extra]
-            return pa.Table.from_arrays(cols, schema=out_schema)
+            return pa.Table.from_arrays(arrays, schema=out_schema)
 
         both = left.map_batches(tag(False), batch_format="pyarrow",
                                 batch_size=None).union(
             right.map_batches(tag(True), batch_format="pyarrow",
                               batch_size=None))
         return keyed_map(both, list(on), merge)
-    if n_left and join_type == "left_outer":
+    if n_left != 0 and join_type in ("left_outer", "left_anti"):
         def null_fill(batch: pa.Table) -> pa.Table:
             for f in extra:
                 batch = batch.append_column(f, pa.nulls(batch.num_rows, f.type))

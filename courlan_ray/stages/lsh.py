@@ -315,7 +315,7 @@ def bucket_pairs(postings, emit, *, key: str, max_rows: int | None = None):
     ``emit(tbl)`` receives every posting row of some set of buckets, each
     bucket whole, and returns (left_id, right_id) rows in either order;
     self-pairs are dropped.  The materialized postings pick the side
-    (``joins.fits_one_task`` with ``max_rows``):
+    (``joins.one_place`` with ``max_rows``):
 
     - driver: collect the postings, ``emit`` once, count pairs with one
       pyarrow ``group_by``, and split the result into ~2xCPU blocks
@@ -331,7 +331,7 @@ def bucket_pairs(postings, emit, *, key: str, max_rows: int | None = None):
     known downstream."""
     import ray.data as rd
     from .agg import grouped_agg
-    from .joins import _collect, cluster_cpus, fits_one_task, keyed_map
+    from .joins import cluster_cpus, keyed_map, one_place
 
     def canonical(tbl: pa.Table) -> pa.Table:
         pairs = emit(tbl)
@@ -342,8 +342,9 @@ def bucket_pairs(postings, emit, *, key: str, max_rows: int | None = None):
                          "right_id": hi.filter(keep)})
 
     postings = postings.materialize()
-    if fits_one_task(postings, max_rows):
-        counted = canonical(_collect(postings)).group_by(
+    tbl = one_place(postings, max_rows=max_rows)
+    if tbl is not None:
+        counted = canonical(tbl).group_by(
             ["left_id", "right_id"]).aggregate([([], "count_all")])
         out = pa.table({"left_id": counted["left_id"],
                         "right_id": counted["right_id"],

@@ -235,10 +235,9 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
 
     cols = ["minhash", "simhash_pix", "phash", "caption_key",
             "fingerprints", "decode_ok"]
-    attached = hash_join_pairs(
-        pairs_ds, sig_ds.select_columns(["image_id"] + cols),
-        id_col="image_id", payload_cols=cols,
-        max_rows=cfg.verify_broadcast_max)
+    attached = hash_join_pairs(pairs_ds, sig_ds, id_col="image_id",
+                               payload_cols=cols,
+                               max_rows=cfg.verify_broadcast_max)
 
     def kernel(batch: pa.Table) -> pa.Table:
         n = batch.num_rows

@@ -231,7 +231,7 @@ def test_assign_clusters_block_without_components():
 
 
 def test_component_paths_assign_alike():
-    """Driver union-find and distributed label propagation end in the same
+    """Driver union-find and distributed star contraction end in the same
     assignment: a chain, a star, ids in no edge, and an ids block with no
     component member."""
     rd = _rd()
