@@ -71,8 +71,10 @@ class DedupConfig:
     verify_broadcast_max: int = 2_000_000  # signature rows: within this AND
                                            # joins.SMALL_BYTES ->
                                            # broadcast exact-id probe; above
-                                           # -> partitioned pair<->signature
-                                           # join (both: joins.hash_join_pairs);
+                                           # -> two keyed passes, by id then
+                                           # by pair, that read the signature
+                                           # table once (both:
+                                           # joins.hash_join_pairs);
                                            # caps exact_dup_edges' driver pass too
 
     # --- seed of every hash family (shingles, bands, salts) ---

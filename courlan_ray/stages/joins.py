@@ -17,11 +17,13 @@ Three lookup patterns, mirroring the reference's lookup shapes:
   core.py:115-119);
 - partitioned sort-merge join when both sides are large (the _search_urls
   anti-join, urlstore.py:277-295): both sides go through ONE keyed
-  exchange and each block is joined on its own;
+  exchange, each tagged and placed in the map that reads it, and each
+  block is joined on its own;
 - ``hash_join_pairs``: attach per-id payload columns to a pair table
   (left_id, right_id) — the candidate-pair -> signature lookup, matched
-  on the id values themselves (a broadcast ``pd.Index`` or a partitioned
-  join), never on a digest of them.
+  on the id values themselves (a broadcast ``pd.Index``, or two keyed
+  passes: both pair sides pick up their payload keyed on the id, then
+  meet keyed on the pair), never on a digest of them.
 
 Every keyed exchange in the engine is ``keyed_map``: Ray's task-based
 range-partitioned ``Dataset.sort``.  It starts no actors (a hash-shuffle
@@ -151,6 +153,10 @@ def keyed_map(ds, keys: list[str], kernel):
     """Run ``kernel`` (pyarrow table -> table) once per block of ``ds``
     re-partitioned so that every ``keys`` tuple's rows sit whole in one
     block; a block may hold many keys, and its rows come in no key order.
+    ``ds`` is one Dataset, or a list of ``(Dataset, tag)`` inputs whose
+    ``tag`` maps each of its blocks to one schema shared by all inputs:
+    each input is tagged and placed in one map, then the inputs are
+    unioned (Ray fuses no map across a ``Union``).
 
     The exchange is one ``Dataset.sort`` on a 64-bit placement hash of the
     key tuple: the range partitioner never splits equal sort values, its
@@ -164,17 +170,22 @@ def keyed_map(ds, keys: list[str], kernel):
     2,000-document scale path's verify output into 17 blocks rather than
     4, and every later keyed pass over them ran a task per block."""
 
-    def place(b: pa.Table) -> pa.Table:
-        return b.replace_schema_metadata(None).append_column(
-            _PLACE, pa.array(_placement(b, keys)))
+    def placed(d, tag):
+        def place(b: pa.Table) -> pa.Table:
+            b = tag(b) if tag else b
+            return b.replace_schema_metadata(None).append_column(
+                _PLACE, pa.array(_placement(b, keys)))
+        return d.map_batches(place, batch_format="pyarrow", batch_size=None)
 
     def run(b: pa.Table):
         return kernel(b.drop_columns([_PLACE]))
 
+    inputs = [placed(d, tag) for d, tag in
+              (ds if isinstance(ds, list) else [(ds, None)])]
     parts = max(2, cluster_cpus())      # no boundaries = Ray samples its own
     bounds = np.linspace(-2.0**63, 2.0**63, parts + 1)[1:-1]
-    return (ds.map_batches(place, batch_format="pyarrow", batch_size=None)
-            .sort(_PLACE, boundaries=[int(b) for b in bounds])
+    both = inputs[0].union(*inputs[1:]) if inputs[1:] else inputs[0]
+    return (both.sort(_PLACE, boundaries=[int(b) for b in bounds])
             .map_batches(run, batch_format="pyarrow", batch_size=None))
 
 
@@ -257,12 +268,16 @@ def attach_by_key(left_ds, right_ds, on: list[str], *, how: str = "inner"):
 def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str],
                     max_rows: int | None = None):
     """Attach payload columns for both sides of a (left_id, right_id) pair
-    table; a pair with either id missing from the payload is dropped, and
-    a repeated payload id resolves to its first row.  Payload columns that
-    fit one task (``one_place`` of the materialized ``payload_ds`` with
-    ``max_rows``) are broadcast with an exact ``pd.Index`` over the ids;
-    else two chained partitioned joins, one per pair side, run in one
-    execution (there a repeated payload id gives one row per copy)."""
+    table; a pair with either id null or missing from the payload is
+    dropped.  Payload columns that fit one task (``one_place`` of the
+    materialized ``payload_ds`` with ``max_rows``) are broadcast with an
+    exact ``pd.Index`` over the ids, and a repeated payload id resolves to
+    its first row.  Else two ``keyed_map`` passes run in one execution,
+    and the payload takes part in the first only (there a repeated payload
+    id gives one row per copy): pass 1, keyed on the id, meets each pair
+    twice, once by its left and once by its right id, with that id's
+    payload rows; pass 2, keyed on the pair, joins the two sides again.
+    A map over the result fuses into pass 2's reading task."""
     payload_ds, payload_fields = _arrow_materialized(payload_ds)
     tbl = one_place(payload_ds, [id_col] + payload_cols, max_rows)
     if tbl is not None:
@@ -297,16 +312,67 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
         return pairs_ds.map_batches(lambda b: sliced(b, attach, 8192),
                                     batch_format="pyarrow", batch_size=None)
 
-    pairs_ds, fields = _arrow_materialized(pairs_ds)
-    chain = pairs_ds.count() > 0
-    for side, suffix in (("left", "_l"), ("right", "_r")):
-        pairs_ds = _join(pairs_ds, payload_ds, "inner", on=(f"{side}_id",),
-                         right_on=(id_col,), cols=payload_cols, suffix=suffix,
-                         left_fields=fields if side == "right" and chain
-                         else None)
-        fields = list(fields) + [payload_fields.field(c).with_name(
-            c + suffix) for c in payload_cols]
-    return pairs_ds
+    import ray.data as rd
+
+    pairs_ds, pair_fields = _arrow_materialized(pairs_ds)
+    payload = [payload_fields.field(c) for c in payload_cols]
+    out_schema = pa.schema(list(pair_fields) + [
+        f.with_name(f.name + suffix) for suffix in ("_l", "_r")
+        for f in payload])
+    if not (pairs_ds.count() and payload_ds.count()):
+        return rd.from_arrow(out_schema.empty_table())
+    pair = ["left_id", "right_id"]
+    # pass 1 rows: a payload row (__side 0) or a pair keyed on its left
+    # (1) or right (2) id; pass 2 rows: a pair side with its payload
+    union = pa.schema(
+        [pa.field("__id", pair_fields.field("left_id").type),
+         pa.field("__side", pa.int8())]
+        + [pa.field(f.name, _union_type(f.type))
+           for f in list(pair_fields) + payload])
+    picked = pa.schema(list(pair_fields) + [pa.field("__side", pa.int8())]
+                       + payload)
+
+    def tagged(t: pa.Table, ids, side: int) -> pa.Table:
+        return _conform(t.append_column("__id", ids).append_column(
+            "__side", pa.array(np.full(t.num_rows, side, np.int8))), union)
+
+    def sides(b: pa.Table) -> pa.Table:       # each pair twice, one per id
+        b = b.filter(pc.and_(pc.is_valid(b["left_id"]),
+                             pc.is_valid(b["right_id"])))
+        return pa.concat_tables([tagged(b, b["left_id"], 1),
+                                 tagged(b.select(pair), b["right_id"], 2)])
+
+    def ids(b: pa.Table) -> pa.Table:
+        return tagged(b.select(payload_cols), b[id_col], 0)
+
+    def pick_up(b: pa.Table) -> pa.Table:
+        side = b["__side"]
+        # one right row per distinct pair: the left rows keep every copy,
+        # so a duplicate pair still meets once per copy in pass 2
+        right = b.filter(pc.equal(side, 2)).group_by(
+            pair, use_threads=False).aggregate([])
+        rows = pa.concat_tables([b.filter(pc.equal(side, 1)),
+                                 tagged(right, right["right_id"], 2)])
+        payload_rows = b.filter(pc.equal(side, 0))
+        hits = _matches(rows, payload_rows, ["__id"])
+        return pa.Table.from_arrays(
+            [rows[f.name].take(hits["__l"]).cast(f.type)
+             for f in list(pair_fields) + [picked.field("__side")]]
+            + [payload_rows[f.name].take(hits["__r"]).cast(f.type)
+               for f in payload], schema=picked)
+
+    def meet(b: pa.Table) -> pa.Table:
+        is_left = pc.equal(b["__side"], 1)
+        lt, rt = b.filter(is_left), b.filter(pc.invert(is_left))
+        hits = _matches(lt, rt, pair)
+        return pa.Table.from_arrays(
+            [lt[f.name].take(hits["__l"]) for f in pair_fields]
+            + [lt[c].take(hits["__l"]) for c in payload_cols]
+            + [rt[c].take(hits["__r"]) for c in payload_cols],
+            schema=out_schema)
+
+    return keyed_map(keyed_map([(pairs_ds, sides), (payload_ds, ids)],
+                               ["__id"], pick_up), pair, meet)
 
 
 def _arrow_materialized(ds):
@@ -324,47 +390,64 @@ def _arrow_materialized(ds):
 
 
 def _union_type(t: pa.DataType) -> pa.DataType:
-    """A column's type in ``_join``'s union: fixed-size list payloads
-    travel as a variable ``list``, so the side without them pays only
-    offsets for its nulls (``pa.nulls(n, fixed_size_list<...>[k])``
-    allocates n x k values)."""
+    """A column's type in a tagged union (``_join``, ``hash_join_pairs``'s
+    first pass): fixed-size list payloads travel as a variable ``list``,
+    so the side without them pays only offsets for its nulls
+    (``pa.nulls(n, fixed_size_list<...>[k])`` allocates n x k values)."""
     if pa.types.is_fixed_size_list(t):
         return pa.list_(t.value_type)
     return t
 
 
+def _conform(b: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``b`` as ``schema``: its columns cast, a missing one typed nulls."""
+    return pa.Table.from_arrays(
+        [b[f.name].cast(f.type) if f.name in b.column_names
+         else pa.nulls(b.num_rows, f.type) for f in schema], schema=schema)
+
+
+def _matches(lt: pa.Table, rt: pa.Table, on: list[str],
+             how: str = "inner") -> pa.Table:
+    """Row positions ``__l`` of ``lt`` and ``__r`` of ``rt`` (none for a
+    semi or anti join) whose ``on`` columns match in the exact acero join
+    ``how``; only the keys and positions meet acero, so list payloads
+    never do.  Sorted on the positions: acero emits in no fixed order."""
+    def keyed(t, pos):
+        return pa.table([t[k] for k in on] + [pa.array(np.arange(t.num_rows))],
+                        names=list(on) + [pos])
+
+    hits = keyed(lt, "__l").join(keyed(rt, "__r"), list(on), join_type=how)
+    return hits.sort_by([(c, "ascending") for c in ("__l", "__r")
+                         if c in hits.column_names])
+
+
 def _join(left, right, join_type: str, *, on: tuple,
-          right_on: tuple | None = None, cols: list[str] | None = None,
-          suffix: str = "", left_fields: list | None = None):
+          right_on: tuple | None = None, cols: list[str] | None = None):
     """Sort-merge join (``inner``, ``left_outer``, ``left_semi`` or
     ``left_anti``) on the key columns ``on`` / ``right_on``: left columns,
-    then the right columns ``cols`` (default: all non-key) renamed with
-    ``suffix``; a repeated right key gives one row per copy; null keys
-    match nothing.  Fields come from the materialized parents' schemas
-    (``left_fields`` for a lazy ``left``).
+    then the right columns ``cols`` (default: all non-key); a repeated
+    right key gives one row per copy; null keys match nothing.  Fields
+    come from the materialized parents' schemas.
 
-    Both sides are tagged (the right one projected and renamed there),
-    unioned under one schema (the other side's columns as typed nulls)
-    and go through ONE ``keyed_map``; each block joins only its key
-    columns plus a row index with an exact ``pa.Table.join`` and gathers
-    the payload columns by index, so list payloads never meet acero's
-    join.  A side with no rows short-circuits to the typed result: the
-    left rows for a left outer or anti join, else empty."""
+    Both sides are tagged (the right one projected and renamed there)
+    under one schema (the other side's columns as typed nulls) and go
+    through ONE ``keyed_map``; each block joins only its key columns plus
+    a row index (``_matches``) and gathers the payload columns by index.
+    A side with no rows short-circuits to the typed result: the left rows
+    for a left outer or anti join, else empty."""
     import ray.data as rd
 
     right_on = right_on or on
-    n_left = None                       # a lazy left: rows unknown
-    if left_fields is None:
-        left, left_fields = _arrow_materialized(left)
-        n_left = left.count()
+    left, left_fields = _arrow_materialized(left)
+    n_left = left.count()
     right, rf = _arrow_materialized(right)
     cols = [n for n in rf.names if n not in right_on] if cols is None else cols
-    extra = [rf.field(c).with_name(c + suffix) for c in cols]
+    extra = [rf.field(c) for c in cols]
     out_schema = pa.schema(list(left_fields) + extra)
-    if n_left != 0 and right.count():
+    if n_left and right.count():
         carried = [pa.field(f.name, _union_type(f.type)) for f in out_schema]
         union = pa.schema(carried + [pa.field("__right", pa.bool_())])
-        renames = dict(zip(right_on, on)) | {c: c + suffix for c in cols}
+        renames = dict(zip(right_on, on)) | {c: c for c in cols}
         how = join_type.replace("_", " ")           # acero's spelling
 
         def tag(is_right: bool):
@@ -372,39 +455,22 @@ def _join(left, right, join_type: str, *, on: tuple,
                 if is_right:
                     b = b.select(list(renames)).rename_columns(
                         list(renames.values()))
-                n = b.num_rows
-                arrays = [b[f.name].cast(f.type) if f.name in b.column_names
-                          else pa.nulls(n, f.type) for f in carried]
-                return pa.Table.from_arrays(
-                    arrays + [pa.array(np.full(n, is_right))], schema=union)
+                return _conform(b.append_column(
+                    "__right", pa.array(np.full(b.num_rows, is_right))), union)
             return fn
 
         def merge(b: pa.Table) -> pa.Table:
             is_right = b["__right"]
             lt, rt = b.filter(pc.invert(is_right)), b.filter(is_right)
-
-            def keyed(t, pos):
-                return pa.table([t[k] for k in on]
-                                + [pa.array(np.arange(t.num_rows))],
-                                names=list(on) + [pos])
-
-            # acero emits matches in no fixed order; sort for a
-            # reproducible block (a semi or anti join has no "__r")
-            hits = keyed(lt, "__l").join(keyed(rt, "__r"), list(on),
-                                         join_type=how)
-            hits = hits.sort_by([(c, "ascending") for c in ("__l", "__r")
-                                 if c in hits.column_names])
+            hits = _matches(lt, rt, list(on), how)
             arrays = [lt[f.name].take(hits["__l"]).cast(f.type)
                       for f in left_fields] \
                 + [rt[f.name].take(hits["__r"]).cast(f.type) for f in extra]
             return pa.Table.from_arrays(arrays, schema=out_schema)
 
-        both = left.map_batches(tag(False), batch_format="pyarrow",
-                                batch_size=None).union(
-            right.map_batches(tag(True), batch_format="pyarrow",
-                              batch_size=None))
-        return keyed_map(both, list(on), merge)
-    if n_left != 0 and join_type in ("left_outer", "left_anti"):
+        return keyed_map([(left, tag(False)), (right, tag(True))], list(on),
+                         merge)
+    if n_left and join_type in ("left_outer", "left_anti"):
         def null_fill(batch: pa.Table) -> pa.Table:
             for f in extra:
                 batch = batch.append_column(f, pa.nulls(batch.num_rows, f.type))

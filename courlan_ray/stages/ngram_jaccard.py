@@ -27,7 +27,7 @@ Scale shape (the 100 TB path):
     distinct.
   - verify: pair table joined back to gram arrays via the size-adaptive
     ``hash_join_pairs`` (broadcast while the gram sets fit one task,
-    partitioned joins above), exact Jaccard per batch.
+    two keyed passes above), exact Jaccard per batch.
 
 Hash-identity caveat: gram sets are represented by 64-bit chain hashes of
 token hashes; two distinct grams colliding would merge set elements.  At

@@ -2,10 +2,10 @@
 
 Attaches the (narrow) signature table to both sides of each candidate
 pair with ``stages.joins.hash_join_pairs`` — a broadcast probe when the
-signature side fits one task, two partitioned sort-merge joins at scale
-(SURVEY.md §2.5; ``cfg.verify_broadcast_max`` caps the probe's rows) —
-then verifies
-each pair with vectorized kernels:
+signature side fits one task; at scale two keyed passes, in which both
+pair sides pick up their signatures keyed on the id and then meet keyed
+on the pair (SURVEY.md §2.5; ``cfg.verify_broadcast_max`` caps the
+probe's rows) — then verifies each pair with vectorized kernels:
 
 - caption channel: estimated Jaccard (fraction of agreeing MinHash perms)
   >= ``jaccard_threshold``
@@ -219,8 +219,10 @@ def verify_pairs(pairs_ds, sig_ds, cfg: DedupConfig):
 
     Signatures attach to both pair sides via ``hash_join_pairs``: a
     broadcast probe while the signature side fits one task and has at most
-    ``cfg.verify_broadcast_max`` rows, two partitioned sort-merge joins
-    otherwise (no driver materialization)."""
+    ``cfg.verify_broadcast_max`` rows, otherwise two keyed passes (by id,
+    then by pair) that read the signature table once, with the kernel
+    fused into the second pass's reading task (no driver
+    materialization)."""
     from .joins import cluster_cpus, hash_join_pairs, sliced
 
     # re-split the candidate output so the verify stage fans out across the

@@ -17,25 +17,55 @@ _NO_WORK = ("Project", "Filter", "Union", "AggregateNumRows",
             "InputDataBuffer")
 
 
-@pytest.fixture
-def executions(monkeypatch):
+def _spy(monkeypatch, describe):
+    """Record ``describe(dag)`` of every execution's final operator."""
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
 
     runs, execute = [], StreamingExecutor.execute
 
     def record(self, dag, *args, **kwargs):
+        runs.append(describe(dag))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", record)
+    return runs
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """The operator names of every execution."""
+    def names(dag):
         ops, stack = [], [dag]
         while stack:
             op = stack.pop()
             ops.append(op.name if type(op).__name__ == "TaskPoolMapOperator"
                        else type(op).__name__)
             stack.extend(op.input_dependencies)
-        runs.append(ops)
-        return execute(self, dag, *args, **kwargs)
+        return ops
 
-    monkeypatch.setattr(StreamingExecutor, "execute", record)
-    return runs
+    return _spy(monkeypatch, names)
+
+
+@pytest.fixture
+def dags(monkeypatch):
+    """Every execution as a ``(name, inputs)`` tree of its operators."""
+    def tree(op):
+        return op.name, [tree(i) for i in op.input_dependencies]
+
+    return _spy(monkeypatch, tree)
+
+
+def _nodes(tree):
+    yield tree
+    for child in tree[1]:
+        yield from _nodes(child)
+
+
+def _exchange_inputs(tree) -> list:
+    """What each ``Sort`` of an execution reads, as ``(name, inputs)``
+    trees."""
+    return [sort[1][0] for sort in _nodes(tree) if sort[0] == "Sort"]
 
 
 def _no_work(ops) -> bool:
@@ -52,10 +82,14 @@ def _docs(texts):
         "text": pa.array(texts)}))
 
 
-def test_text_scale_path_runs_eight_executions(executions):
+def test_text_scale_path_runs_eight_executions(executions, dags):
     """Text on the scale caps: sigtable, exact-dup exchange, survivors +
-    LSH stars, LSH exchange, pair count, both verify joins + verify, one
-    star-contraction round, and the final attach -- none only projects."""
+    LSH stars, LSH exchange, pair count, verify's two keyed passes +
+    verify, one star-contraction round, and the final attach -- none only
+    projects.  Verify reads the pairs and the signatures once each: pass
+    1 (keyed on the id) tags and places each in one map, and pass 1's
+    kernel, pass 2's placement (keyed on the pair) and, after pass 2,
+    pass 2's kernel and the verify kernel run fused."""
     from courlan_ray.pipelines.text_dedup import text_dedup_pipeline
 
     texts = _NEAR_MISS + [_NEAR_MISS[0], _NEAR_MISS[1] + " extra"]
@@ -65,6 +99,40 @@ def test_text_scale_path_runs_eight_executions(executions):
                              "4": "1"}
     assert [r for r in executions if _no_work(r)] == []
     assert len(executions) == 8, executions
+
+    verify = [d for d in dags
+              if any(n[0].startswith("UnionOperator") for n in _nodes(d))]
+    assert len(verify) == 1, dags
+    names = [n[0] for n in _nodes(verify[0])]
+    assert (names.count("Sort"), names.count("Input")) == (2, 2), names
+    assert verify[0][0].startswith("MapBatches(run)->"), names
+    pass2, pass1 = _exchange_inputs(verify[0])
+    assert pass2[0] == "MapBatches(run)->MapBatches(place)", names
+    assert pass1[0].startswith("UnionOperator"), names
+    assert pass1[1] == [("MapBatches(place)", [("Input", [])])] * 2, names
+
+
+def test_partitioned_join_tags_and_places_each_side_in_one_map(dags):
+    """``attach_by_key`` and ``filter_by_keys`` on their partitioned side:
+    each input is tagged and placed in the one map that reads it, and no
+    map runs between the ``Union`` and the ``Sort``."""
+    import ray.data as rd
+    from courlan_ray.stages import joins
+
+    left = rd.from_arrow([pa.table({"k": [1, 2, 3], "v": list("abc")})] * 2)
+    right = rd.from_arrow(
+        [pa.table({"k": [2, 3, 4], "w": [1.0, 2.0, 3.0]})] * 3)
+    with joins.exchanges_only():
+        attached = joins.attach_by_key(left, right, ["k"]).to_pandas()
+        dropped = joins.filter_by_keys(left, right, "k", keep=False)
+        dropped = dropped.to_pandas()
+    assert sorted(attached["k"]) == [2] * 6 + [3] * 6
+    assert sorted(dropped["k"]) == [1, 1]
+    inputs = [i for d in dags for i in _exchange_inputs(d)]
+    assert len(inputs) == 2, dags
+    for union, sides in inputs:
+        assert union.startswith("UnionOperator"), inputs
+        assert sides == [("MapBatches(place)", [("Input", [])])] * 2, inputs
 
 
 def test_flagship_runs_six_executions(executions):

@@ -262,7 +262,7 @@ def test_component_paths_assign_alike():
 
 def test_verify_agrees_across_size_switch():
     """verify_pairs gives the same scored table on the broadcast probe and
-    on the partitioned joins (``verify_broadcast_max=0``), with list
+    on the keyed passes (``verify_broadcast_max=0``), with list
     payloads (minhash, fingerprints) on both."""
     rd = _rd()
     from courlan_ray.sources.synth import generate_rows
@@ -432,25 +432,32 @@ def test_clear_caches_drops_broadcast_caches():
 
 
 def _sorted_rows(tbl: pa.Table) -> list[dict]:
-    return sorted(tbl.to_pylist(), key=lambda r: (r["left_id"], r["right_id"]))
+    return sorted(tbl.to_pylist(), key=lambda r: (r["left_id"], r["right_id"],
+                                                  repr(r)))
 
 
-def _merged_pairs(pairs: pd.DataFrame, payload: pd.DataFrame) -> list[dict]:
-    """The pandas reference for hash_join_pairs: first payload row per id,
-    inner-merged onto both sides of each pair."""
-    first = payload.drop_duplicates("image_id")
+def _merged_pairs(pairs: pd.DataFrame, payload: pd.DataFrame,
+                  first: bool = True) -> list[dict]:
+    """The pandas reference for hash_join_pairs: the first payload row per
+    id (else every copy; a null id matches nothing), inner-merged onto
+    both sides of each pair."""
+    payload = payload[payload["image_id"].notna()]
+    if first:
+        payload = payload.drop_duplicates("image_id")
     out = pairs
     for side, suffix in (("left", "_l"), ("right", "_r")):
-        renamed = first.rename(columns=lambda c: f"{side}_id" if c == "image_id"
-                               else c + suffix)
+        renamed = payload.rename(
+            columns=lambda c: f"{side}_id" if c == "image_id" else c + suffix)
         out = out.merge(renamed, on=f"{side}_id", how="inner")
     return _sorted_rows(pa.Table.from_pandas(out, preserve_index=False))
 
 
-def _join_pairs(pairs: pd.DataFrame, payload: pa.Table) -> pa.Table:
+def _join_pairs(pairs: pd.DataFrame | pa.Table, payload: pa.Table) -> pa.Table:
     import ray
     from courlan_ray.stages.joins import hash_join_pairs
-    out = hash_join_pairs(_rd().from_pandas(pairs), _rd().from_arrow(payload),
+    pairs = _rd().from_arrow(pairs) if isinstance(pairs, pa.Table) \
+        else _rd().from_pandas(pairs)
+    out = hash_join_pairs(pairs, _rd().from_arrow(payload),
                           id_col="image_id", payload_cols=["val", "vec"])
     parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
     return pa.concat_tables(parts) if parts else out.schema().base_schema \
@@ -488,7 +495,7 @@ def test_hash_join_pairs_broadcast_matches_ids_exactly(monkeypatch):
 
 
 def test_hash_join_pairs_byte_budget_uses_partitioned_join(monkeypatch):
-    """A payload over ``SMALL_BYTES`` goes to the partitioned joins even
+    """A payload over ``SMALL_BYTES`` goes to the keyed passes even
     when it has few rows: nothing is collected to the driver."""
     from courlan_ray.stages import joins
 
@@ -508,6 +515,40 @@ def test_hash_join_pairs_byte_budget_uses_partitioned_join(monkeypatch):
     got = _join_pairs(pairs, payload)
     assert _sorted_rows(got) == _merged_pairs(pairs, payload.to_pandas())
     assert got.num_rows == 3
+
+
+def test_hash_join_pairs_exchange_side_matches_pandas_merge():
+    """The keyed-exchange side gives ``pandas.merge``'s rows: a duplicate
+    pair once per copy (each with its own pair columns), a repeated
+    payload id once per copy, a self-pair, and no row for a null id or an
+    id missing from the payload; an empty pair table or payload gives the
+    typed empty table."""
+    from courlan_ray.stages.joins import exchanges_only
+    payload = pa.table({
+        "image_id": ["a", "b", "b", "c", None, "d"],
+        "val": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
+        "vec": pa.array([[1], [2, 2], [3], [4, 4], [5], [6]],
+                        pa.list_(pa.int32())),
+    })
+    pairs = pd.DataFrame({
+        "left_id": ["a", "a", "b", "c", None, "a", "zz", "d"],
+        "right_id": ["b", "b", "c", "c", "a", "d", "a", None],
+        "ham": [1, 2, 3, 4, 5, 6, 7, 8]})
+    with exchanges_only():
+        got = _join_pairs(pairs, payload)
+        empties = [_join_pairs(pa.Table.from_pandas(pairs).slice(0, 0),
+                               payload),
+                   _join_pairs(pairs, payload.slice(0, 0))]
+    want = _merged_pairs(pairs, payload.to_pandas(), first=False)
+    assert _sorted_rows(got) == want
+    assert [(r["left_id"], r["right_id"]) for r in want] == \
+        [("a", "b")] * 4 + [("a", "d"), ("b", "c"), ("b", "c"), ("c", "c")]
+    for empty in empties:
+        assert empty.num_rows == 0
+        assert empty.schema.names == ["left_id", "right_id", "ham", "val_l",
+                                      "vec_l", "val_r", "vec_r"]
+        assert empty.schema.field("val_l").type == pa.int64()
+        assert empty.schema.field("vec_r").type == pa.list_(pa.int32())
 
 
 _JOIN_LEFT = pa.table({"k": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
