@@ -223,11 +223,11 @@ def doc_substring_lcs(sf_dir: str):
 
 def doc_top_tokens(sf_dir: str, k: int = 20):
     """Exact global top-k most frequent tokens (vocabulary heavy hitters):
-    per-block partial counts -> grouped combine tree (a keyed exchange
-    when the partial counts do not fit one task) -> distributed top-k
-    (stages/topk.py) — never a global sort, never a full-vocab driver
-    collect.  Full DuckDB oracle (EXTRA_ORACLES['doc_top_tokens']); the
-    bounded-memory alternative is the mg_topk sketch."""
+    per-block partial counts -> one merge of the partials (on the driver
+    when they fit one place, else a keyed exchange; stages/agg.py) ->
+    distributed top-k (stages/topk.py) — never a global sort.  Full
+    DuckDB oracle (EXTRA_ORACLES['doc_top_tokens']); the bounded-memory
+    alternative is the mg_topk sketch."""
     from ..functions.textstats import _explode_tokens
     from ..stages.agg import grouped_agg
     from ..stages.topk import topk_rows
@@ -355,7 +355,7 @@ def doc_top_term(sf_dir: str):
     score = tf * N / df (identical float op order on both sides, so the
     oracle is bit-exact — ln() would be libm-dependent).  Composition:
     per-block exact tf (a document lives in one row, so per-block
-    group_by is globally exact) -> df via the grouped combine tree ->
+    group_by is globally exact) -> df via grouped_agg ->
     size-adaptive broadcast join -> per-group top-1
     (stages/topk.topk_per_group).  Full DuckDB oracle
     (EXTRA_ORACLES['doc_top_term'])."""
@@ -534,7 +534,7 @@ def orders_bloom_semi_negbal(sf_dir: str):
 def events_top3_per_user(sf_dir: str):
     """Exact top-3 events per user by value (the "best N per group"
     operator — SQL's row_number window, computed as per-block segmented
-    top-k + a combine tree; stages/topk.topk_per_group).  Full DuckDB
+    top-k + one merge per user; stages/topk.topk_per_group).  Full DuckDB
     oracle (EXTRA_ORACLES['events_top3_per_user'])."""
     from ..stages.topk import topk_per_group
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])

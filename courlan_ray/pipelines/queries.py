@@ -97,7 +97,7 @@ def doc_group_sample(sf_dir: str):
     """Per-language deterministic sample of 5 (sample_urls semantics):
     rank by the SQL-expressible multiplicative hash (fully vectorized —
     VERDICT round 3 next #4 retired the per-row md5 loop) and take the
-    5 smallest per group via the partial/combine top-k tree
+    5 smallest per group via the per-group partial top-k
     (stages/topk.py) — no sort-based groupby shuffle."""
     from ..functions.hashing import mul_hash_priority
     from ..stages.topk import topk_per_group

@@ -1,23 +1,21 @@
-"""Associative grouped aggregation: partial-combine tree instead of a
-keyed exchange.
+"""Associative grouped aggregation: per-block partials, then the one
+size rule.
 
 Every grouped operation this engine needs (bucket representative = min,
 keeper = min, counters = sum) is ASSOCIATIVE, so the plan is map-side
-partial aggregation followed by a combine tree (the "pre-aggregate inside
+partial aggregation before the keyed step (the "pre-aggregate inside
 map_batches before a small groupby" rule, SURVEY.md §4 / ray_guide
 aggregation section):
 
-  pass 1: pyarrow ``group_by`` per block (C-vectorized)
-  pass k: coalesce blocks ``fanout``-to-1 (``repartition`` without
-          shuffle moves no rows) and re-combine per merged block
-  final:  one block holds one row per key.
+  pass 1: pyarrow ``group_by`` per block (C-vectorized), materialized
+  pass 2: ``joins.kernel_by_key`` on the partials: merged once on the
+          driver when they fit ``joins.SMALL_BYTES``, else one keyed
+          exchange (``joins.keyed_map``) and a merge per block, every key
+          then whole in one block -- the topology for 10^9+ distinct keys.
 
-The tree's root holds every key in one task, so the tree runs only when
-the input fits one task (``joins.fits_one_task``): a materialized input is
-measured itself, a lazy one on its materialized partials — which the tree
-materializes anyway, so nothing runs twice.  Above it, the partials go
-through one keyed exchange (``joins.keyed_map``), the topology for 10^9+
-distinct keys.
+Keyless reductions (global top-k, Bloom filters, Misra-Gries) have no key
+to exchange on; ``combine_tree`` merges their partials ``_FANOUT``-to-1,
+which bounds what one task holds.
 """
 
 from __future__ import annotations
@@ -26,68 +24,64 @@ import numpy as np
 import pyarrow as pa
 
 _MERGE_FN = {"min": "min", "max": "max", "sum": "sum", "count": "sum"}
+#: blocks one ``combine_tree`` merge task reads
+_FANOUT = 8
 
 
-def _partials(ds, first):
-    """``first`` per block of ``ds``, and the materialized dataset that
-    measures the input: ``ds`` itself when materialized (the partials then
-    chain lazily), else the partials, materialized here."""
+def combine_tree(ds, merge, *, first=None):
+    """Keyless tree reduction (top-k, Bloom bits, Misra-Gries): apply
+    ``first`` (or ``merge``) per input block, then repeatedly coalesce
+    blocks ``_FANOUT``-to-1 (``repartition`` without shuffle moves no
+    rows) and re-apply ``merge`` until ONE block remains.  ``merge`` must
+    be associative and idempotent on its own output.
+
+    Block counts are known without executing (per-block maps are 1:1 and
+    ``repartition(n)`` yields n blocks), so over a materialized ``ds`` the
+    whole tree runs in ONE streaming execution; a lazy ``ds`` has its
+    partials materialized first to learn their count."""
     from ray.data.dataset import MaterializedDataset
 
-    cur = ds.map_batches(first, batch_format="pyarrow", batch_size=None)
-    if isinstance(ds, MaterializedDataset):
-        return cur, ds
-    cur = cur.materialize()
-    return cur, cur
-
-
-def _reduce(cur, nb: int, merge, fanout: int):
-    # block counts are known without executing: per-block maps are 1:1 and
-    # repartition(n) yields exactly n blocks — so the whole tree chains
-    # LAZILY and executes in ONE streaming run (each intermediate
-    # materialize() cost a full executor launch, ~0.4 s of pure
-    # orchestration per round)
+    cur = ds.map_batches(first or merge, batch_format="pyarrow",
+                         batch_size=None)
+    if not isinstance(ds, MaterializedDataset):
+        ds = cur = cur.materialize()
+    nb = ds.num_blocks()
     while nb > 1:
-        nb = max(1, nb // fanout)
+        nb = max(1, nb // _FANOUT)
         cur = cur.repartition(nb).map_batches(
             merge, batch_format="pyarrow", batch_size=None)
     return cur.materialize()
 
 
-def combine_tree(ds, merge, *, first=None, fanout: int = 8):
-    """Fanout-to-1 tree reduction shared by every associative partial/
-    combine stage (grouped aggs, top-k, sketches): apply ``first`` (or
-    ``merge``) per input block, then repeatedly coalesce blocks
-    fanout-to-1 (``repartition`` without shuffle moves no rows) and
-    re-apply ``merge`` until ONE block remains.  ``merge`` must be
-    associative and idempotent on its own output."""
-    cur, measured = _partials(ds, first or merge)
-    return _reduce(cur, measured.num_blocks(), merge, fanout)
+def reduce_by_key(ds, keys: list[str], first, merge):
+    """``first`` per block of ``ds``, materialized, then ``merge`` with
+    every ``keys`` tuple whole in one call (``joins.kernel_by_key``: once
+    on the driver when the partials fit one place, else per block of one
+    keyed exchange), so ``merge`` sees each key's partials exactly once
+    and may finish the result.  Ray calls no kernel on a zero-row input,
+    so partials without a schema are replaced by ``merge`` of ``first`` of
+    an empty batch of the input's columns: the typed empty result."""
+    import ray.data as rd
+    from .joins import kernel_by_key
+
+    partials = ds.map_batches(first, batch_format="pyarrow",
+                              batch_size=None).materialize()
+    if partials.schema() is None and (schema := ds.schema()) is not None:
+        return rd.from_arrow(merge(first(schema.base_schema.empty_table())))
+    return kernel_by_key(partials, keys, merge)
 
 
-def tree_or_keyed(ds, keys: list[str], first, merge, *, fanout: int = 8):
-    """``combine_tree`` when the input fits one task; else ``first`` per
-    block, one keyed exchange on ``keys`` and ``merge`` per block (every
-    key then lies whole in one block)."""
-    from .joins import fits_one_task, keyed_map
-
-    cur, measured = _partials(ds, first)
-    if fits_one_task(measured):
-        return _reduce(cur, measured.num_blocks(), merge, fanout)
-    return keyed_map(cur, keys, merge)
-
-
-def grouped_agg(ds, keys: list[str], specs: list[tuple[str, str, str]], *,
-                fanout: int = 8):
+def grouped_agg(ds, keys: list[str], specs: list[tuple[str, str, str]]):
     """Grouped aggregation of ``ds`` by ``keys``.
 
     specs: (input_col, fn, output_col) with fn in {min,max,sum,count}.
     Returns a Dataset with columns keys + output_cols (one row per key).
 
-    Map-side partial aggregation, then the combine tree or, when the input
-    does not fit one task, one keyed exchange and a per-block final
-    combine (``tree_or_keyed``): every distinct key lands wholly in one
-    block, so no task holds more than ~1/B of the key space for B blocks.
+    Map-side partial aggregation, then one final combine of the partials
+    (``reduce_by_key``): on the driver when they fit one place, else per
+    block of one keyed exchange, where every distinct key lands wholly in
+    one block, so no task holds more than ~1/B of the key space for B
+    blocks.  A zero-row input gives the typed empty result.
     """
     # a count over a key column is re-pointed at a synthetic ones column
     # (pyarrow can't aggregate a grouping key)
@@ -118,7 +112,7 @@ def grouped_agg(ds, keys: list[str], specs: list[tuple[str, str, str]], *,
             cols[out] = agg[name]
         return pa.table(cols)
 
-    return tree_or_keyed(ds, keys, partial, combine, fanout=fanout)
+    return reduce_by_key(ds, keys, partial, combine)
 
 
 def grouped_concat(ds, keys: list[str], col: str, *, sep: str = ",",
@@ -127,7 +121,7 @@ def grouped_concat(ds, keys: list[str], col: str, *, sep: str = ",",
     """Order-sensitive group-concat (SQL ``string_agg(col, sep ORDER BY
     col)``): one row per key tuple with the ``sep``-joined, ascending-
     sorted values of ``col`` — the posting-list / collect-list
-    aggregation the {min,max,sum,count} combine tree can't express.
+    aggregation the {min,max,sum,count} partials can't express.
 
     Topology: value order makes map-side pre-aggregation impossible
     (partial strings from different blocks interleave), so this is a

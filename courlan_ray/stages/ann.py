@@ -2,7 +2,7 @@
 
 - ``knn_bruteforce``: cosine top-k against a broadcast query matrix — one
   ``ray.put`` of the query block, a vectorized matmul per batch, partial
-  top-k per batch, tiny global merge.  The exact baseline.
+  top-k per batch, one merge per query.  The exact baseline.
 - ``ann_lsh``: random-hyperplane (SimHash) bucketed variant — the scale
   path: query probes only its own hash bucket (plus multi-probe neighbors),
   so per-query work drops from O(N) to O(N / 2^bits * probes).
@@ -49,66 +49,42 @@ def _bucket_of(vecs: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return (bits.astype(np.uint64) @ weights).astype(np.int64)
 
 
-def _empty_topk(id_type: pa.DataType) -> pa.Table:
-    return pa.table({"query_idx": pa.array([], pa.int64()),
-                     "__id": pa.array([], id_type),
-                     "cos_sim": pa.array([], pa.float64())})
+def _scored(batch: pa.Table, id_col: str, qi=(), rows=(),
+            sims=()) -> pa.Table:
+    """(query_idx, id, cos_sim) rows: query ``qi`` scored ``sims`` against
+    row ``rows`` of ``batch``, whose id type they keep; typed empty by
+    default."""
+    return pa.table({"query_idx": pa.array(qi, pa.int64()),
+                     id_col: batch[id_col].take(pa.array(rows, pa.int64())),
+                     "cos_sim": pa.array(sims, pa.float64())})
 
 
-def _topk_select(qi: np.ndarray, sims: np.ndarray, ids: np.ndarray,
-                 k: int) -> np.ndarray:
-    """Indices of the top-k rows per query from flat (query_idx, sim, id)
-    arrays, ordered (query asc, sim desc, id asc) — pure numpy (one lexsort
-    + segmented rank), no pandas groupby in the per-batch path
-    (VERDICT round 2 'what's wrong' #5)."""
-    order = np.lexsort((ids, -sims, qi))
-    qs = qi[order]
-    new = np.r_[True, qs[1:] != qs[:-1]] if qs.size else \
-        np.zeros(0, dtype=bool)
-    starts = np.flatnonzero(new)
-    gidx = np.cumsum(new) - 1
-    rank = np.arange(qs.size) - starts[gidx] if qs.size else qs
-    return order[rank < k]
+def _empty_topk(ds, id_col: str) -> pa.Table:
+    """The typed empty top-k table of corpus ``ds`` (int64 ids when its
+    schema is unknown)."""
+    try:
+        id_type = ds.schema().base_schema.field(id_col).type
+    except Exception:
+        id_type = pa.int64()
+    return _scored(pa.table({id_col: pa.array([], id_type)}), id_col)
 
 
-def _topk_table(batch_id_col, qi, sims, ids, k, id_name: str) -> pa.Table:
-    sel = _topk_select(np.asarray(qi, dtype=np.int64),
-                       np.asarray(sims, dtype=np.float64), ids, k)
-    return pa.table({"query_idx": pa.array(qi[sel], pa.int64()),
-                     id_name: pa.array(ids[sel]).cast(batch_id_col),
-                     "cos_sim": pa.array(sims[sel], pa.float64())})
-
-
-def _merge_topk(parts_ds, k: int, id_name: str, *, fanout: int = 8,
-                id_type: pa.DataType | None = None):
-    """Tree-merge per-block partial top-k tables into one global top-k
-    pa.Table — the combine-tree shape of stages/agg.py instead of one
-    driver pandas concat of every block's partials (VERDICT round 2
-    next #3).  Each level coalesces blocks ``fanout``-to-1 (repartition
-    without shuffle moves no rows) and re-applies the top-k kernel, so no
-    single task — and never the driver — holds more than fanout blocks of
-    ≤ nq*k rows."""
+def _global_topk(ds, partial, k: int, id_col: str) -> pa.Table:
+    """The top-k rows per query of the scored rows ``partial`` emits per
+    batch of ``ds``: ``topk.topk_per_group`` keeps each block's top-k per
+    query and merges them (on the driver when they fit one place, else
+    keyed on the query); the result is collected and ordered (query asc,
+    sim desc, id asc).  No scored row gives the typed empty table."""
     from .joins import _collect
+    from .topk import topk_per_group
 
-    def combine(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
-        qi = b["query_idx"].to_numpy(zero_copy_only=False)
-        sims = b["cos_sim"].to_numpy(zero_copy_only=False)
-        ids = b[id_name].to_numpy(zero_copy_only=False)
-        sel = _topk_select(qi, sims, ids, k)
-        return b.take(pa.array(sel, pa.int64()))
-
-    cur = parts_ds.materialize()
-    while cur.num_blocks() > fanout:
-        cur = (cur.repartition(max(1, cur.num_blocks() // fanout))
-                  .map_batches(combine, batch_format="pyarrow",
-                               batch_size=None).materialize())
-    out = combine(_collect(cur))    # final ≤ fanout blocks: tiny
+    order = [("cos_sim", "descending"), (id_col, "ascending")]
+    out = _collect(topk_per_group(
+        ds.map_batches(partial, batch_format="pyarrow"), ["query_idx"],
+        order, k))
     if out.num_columns == 0:        # fully-empty input: no blocks at all
-        out = _empty_topk(id_type or pa.int64()).rename_columns(
-            ["query_idx", id_name, "cos_sim"])
-    return out
+        return _empty_topk(ds, id_col)
+    return out.sort_by([("query_idx", "ascending")] + order)
 
 
 def knn_bruteforce(ds, queries: np.ndarray, k: int, *,
@@ -117,37 +93,26 @@ def knn_bruteforce(ds, queries: np.ndarray, k: int, *,
     (query_idx, vec_id, cos_sim) of k rows per query.
 
     Per batch: normalize, one (B x D) @ (D x Q) matmul, per-batch partial
-    top-k; partials tree-merged (``_merge_topk``) — at 10^12 rows the ~10^6
-    per-block partials never concatenate on the driver."""
+    top-k; partials merged per query (``_global_topk``) — at 10^12 rows
+    the ~10^6 per-block partials never concatenate on the driver."""
     q = np.asarray(queries, dtype=np.float64)
     qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
     qref = ray.put(qn.T)                       # (D, Q)
 
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return pa.table({"query_idx": pa.array([], pa.int64()),
-                             id_col: pa.array([], batch[id_col].type),
-                             "cos_sim": pa.array([], pa.float64())})
+            return _scored(batch, id_col)
         vecs = _vecs(batch, vec_col)
         norms = np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
         sims = (vecs / norms) @ cached_get(qref)          # (B, Q)
         nq = sims.shape[1]
         kk = min(k, sims.shape[0])
         top = np.argpartition(-sims, kk - 1, axis=0)[:kk]      # (kk, Q)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
         out_q = np.repeat(np.arange(nq, dtype=np.int64), kk)
-        out_i = ids[top.T.ravel()]
-        out_s = sims[top.T.ravel(), out_q]
-        return pa.table({"query_idx": pa.array(out_q, pa.int64()),
-                         id_col: pa.array(out_i),
-                         "cos_sim": pa.array(out_s, pa.float64())})
+        rows = top.T.ravel()
+        return _scored(batch, id_col, out_q, rows, sims[rows, out_q])
 
-    try:
-        _idt = ds.schema().base_schema.field(id_col).type
-    except Exception:
-        _idt = None
-    return _merge_topk(ds.map_batches(partial, batch_format="pyarrow"),
-                       k, id_col, id_type=_idt)
+    return _global_topk(ds, partial, k, id_col)
 
 
 def ann_lsh(ds, queries: np.ndarray, k: int, *, bits: int = 8,
@@ -167,14 +132,13 @@ def ann_lsh(ds, queries: np.ndarray, k: int, *, bits: int = 8,
     Scale shape (VERDICT round 1 #4): the (table-bucket -> probing
     queries) mapping is broadcast as flat sorted arrays; each map task
     filters its rows to probed buckets, scores ONLY the deduped
-    (row, probing query) pairs, and emits a per-batch partial top-k per
-    query; partials tree-merge (``_merge_topk``) — never the full
-    candidate set in one place."""
+    (row, probing query) pairs and emits them scored; each block keeps
+    its top-k per query, and those merge per query (``_global_topk``) —
+    never the full candidate set in one place."""
     q = np.asarray(queries, dtype=np.float64)
     nq = q.shape[0]
     if nq == 0:                       # 0 queries: typed empty (no 1-D trap)
-        return _empty_topk(ds.schema().base_schema.field(id_col).type) \
-            .rename_columns(["query_idx", id_col, "cos_sim"])
+        return _empty_topk(ds, id_col)
     dim = q.shape[1]
     planes = _hyperplanes(dim, bits * n_tables, seed)
     pref = ray.put(planes)
@@ -203,11 +167,8 @@ def ann_lsh(ds, queries: np.ndarray, k: int, *, bits: int = 8,
     qref = ray.put(qn.T)
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"query_idx": pa.array([], pa.int64()),
-                          id_col: pa.array([], batch[id_col].type),
-                          "cos_sim": pa.array([], pa.float64())})
         if batch.num_rows == 0:
-            return empty
+            return _scored(batch, id_col)
         planes_ = cached_get(pref)
         wb, woff, wq = cached_get(mref)
         vecs = _vecs(batch, vec_col)
@@ -230,7 +191,7 @@ def ann_lsh(ds, queries: np.ndarray, k: int, *, bits: int = 8,
             fq_parts.append(wq[np.repeat(woff[p], counts)
                                + _ranges_within(counts)])
         if not fr_parts:
-            return empty
+            return _scored(batch, id_col)
         flat_rows = np.concatenate(fr_parts)
         flat_q = np.concatenate(fq_parts)
         # a (row, query) pair colliding in several tables must score once
@@ -241,18 +202,10 @@ def ann_lsh(ds, queries: np.ndarray, k: int, *, bits: int = 8,
         flat_rows, flat_q = flat_rows[ui], flat_q[ui]
         rows, row_local = np.unique(flat_rows, return_inverse=True)
         sims_all = vn[rows] @ cached_get(qref)           # (kept, nq)
-        flat_sims = sims_all[row_local, flat_q]
-        # per-batch partial top-k per query (numpy lexsort, no pandas)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        return _topk_table(batch[id_col].type, flat_q, flat_sims,
-                           ids[flat_rows], k, id_col)
+        return _scored(batch, id_col, flat_q, flat_rows,
+                       sims_all[row_local, flat_q])
 
-    try:
-        _idt = ds.schema().base_schema.field(id_col).type
-    except Exception:
-        _idt = None
-    return _merge_topk(ds.map_batches(partial, batch_format="pyarrow"),
-                       k, id_col, id_type=_idt)
+    return _global_topk(ds, partial, k, id_col)
 
 
 def embedding_neardup_pairs(ds, cfg: DedupConfig, *, threshold: float = 0.95,
@@ -519,11 +472,12 @@ def ann_ivf(ds, queries: np.ndarray, k: int, *, n_centroids: int = 64,
     Scale shape mirrors ``ann_lsh``: the centroid matrix and the
     (cell -> probing queries) mapping are broadcast; each map task assigns
     its rows to cells with one matmul, drops rows in unprobed cells, scores
-    ONLY the (row, probing query) pairs, and emits a per-batch partial
-    top-k per query.  Training reads a hash-sample (one cheap pass), never
-    the full corpus.  At 10^12 rows the cell assignment would be written
-    once as a partition column and reused across query batches — the
-    stages here are exactly that layout's build + probe."""
+    ONLY the (row, probing query) pairs, and emits them scored for the
+    per-query top-k of ``_global_topk``.  Training reads a hash-sample
+    (one cheap pass), never the full corpus.  At 10^12 rows the cell
+    assignment would be written once as a partition column and reused
+    across query batches — the stages here are exactly that layout's
+    build + probe."""
     from ..functions.hashing import hash_strings
 
     q = np.asarray(queries, dtype=np.float64)
@@ -533,12 +487,7 @@ def ann_ivf(ds, queries: np.ndarray, k: int, *, n_centroids: int = 64,
     # --- train: deterministic hash-sample of the corpus ---
     n_total = ds.count()
     if n_total == 0 or nq == 0:   # typed empty; avoids the 1-D pair_arr
-        try:
-            id_type = ds.schema().base_schema.field(id_col).type
-        except Exception:
-            id_type = pa.int64()
-        return _empty_topk(id_type).rename_columns(
-            ["query_idx", id_col, "cos_sim"])
+        return _empty_topk(ds, id_col)
     stride = max(1, n_total // max(train_max, 1))
 
     def sample_kernel(b: pa.Table) -> pa.Table:
@@ -574,11 +523,8 @@ def ann_ivf(ds, queries: np.ndarray, k: int, *, n_centroids: int = 64,
     qref = ray.put(qn.T)
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"query_idx": pa.array([], pa.int64()),
-                          id_col: pa.array([], batch[id_col].type),
-                          "cos_sim": pa.array([], pa.float64())})
         if batch.num_rows == 0:
-            return empty
+            return _scored(batch, id_col)
         centT = cached_get(cref)
         wb, woff, wq = cached_get(mref)
         vecs = _vecs(batch, vec_col)
@@ -588,7 +534,7 @@ def ann_ivf(ds, queries: np.ndarray, k: int, *, n_centroids: int = 64,
         pos = np.clip(np.searchsorted(wb, cells), 0, max(wb.size - 1, 0))
         hit = (wb[pos] == cells) if wb.size else np.zeros(len(cells), bool)
         if not hit.any():
-            return empty
+            return _scored(batch, id_col)
         rows = np.flatnonzero(hit)
         p = pos[hit]
         counts = woff[p + 1] - woff[p]
@@ -596,14 +542,7 @@ def ann_ivf(ds, queries: np.ndarray, k: int, *, n_centroids: int = 64,
         flat_q = wq[np.repeat(woff[p], counts) + _ranges_within(counts)]
         sims_all = vn[rows] @ cached_get(qref)
         row_local = np.repeat(np.arange(rows.size), counts)
-        flat_sims = sims_all[row_local, flat_q]
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        return _topk_table(batch[id_col].type, flat_q, flat_sims,
-                           ids[flat_rows], k, id_col)
+        return _scored(batch, id_col, flat_q, flat_rows,
+                       sims_all[row_local, flat_q])
 
-    try:
-        _idt = ds.schema().base_schema.field(id_col).type
-    except Exception:
-        _idt = None
-    return _merge_topk(ds.map_batches(partial, batch_format="pyarrow"),
-                       k, id_col, id_type=_idt)
+    return _global_topk(ds, partial, k, id_col)

@@ -1,9 +1,10 @@
 """Join / lookup helpers (SURVEY.md §2.5) and the one size rule.
 
 Every dual-path stage in the engine holds its input in ONE place (a
-driver collect, a broadcast probe, a combine-tree root) when it is small
-and runs a keyed exchange (``keyed_map``) otherwise: at small sizes the
-one place is usually faster, and only the exchange scales.
+driver collect, such as the partials of a keyed reduction, or a broadcast
+probe) when it is small and runs a keyed exchange (``keyed_map``)
+otherwise: at small sizes the one place is usually faster, and only the
+exchange scales.
 ``fits_one_task`` makes that call for all of them from the measured rows
 and bytes of the materialized side the one-place path would hold, against
 one byte budget (``SMALL_BYTES``); ``exchanges_only()`` forces the
@@ -378,14 +379,22 @@ def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str
 def _arrow_materialized(ds):
     """``ds`` materialized with Arrow blocks, and its Arrow schema (empty
     when it has none).  Pandas blocks (``from_pandas``) report numpy
-    dtypes, so they are converted first."""
+    dtypes, so they are converted first: by a map, or on the driver when
+    they hold no row (Ray maps no zero-row block, so the map's output has
+    no schema)."""
+    import ray.data as rd
+
     ds = ds.materialize()
     schema = ds.schema()
     if schema is None:
         return ds, pa.schema([])
     if not all(isinstance(t, pa.DataType) for t in schema.types):
-        ds = strip_metadata(ds).materialize()
-        schema = ds.schema()
+        arrow = strip_metadata(ds).materialize()
+        if arrow.schema() is None:
+            empty = ray.get(ds.to_pandas_refs()[0])
+            arrow = rd.from_arrow(pa.Table.from_pandas(
+                empty, preserve_index=False).replace_schema_metadata(None))
+        ds, schema = arrow, arrow.schema()
     return ds, pa.schema(zip(schema.names, schema.types))
 
 

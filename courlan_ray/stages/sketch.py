@@ -81,17 +81,19 @@ def hll_distinct(ds, col: str, *, p: int = 12, seed: int = 17) -> float:
 
 
 def hll_distinct_by_key(ds, key: str, col: str, *, p: int = 12,
-                        seed: int = 17, fanout: int = 8):
+                        seed: int = 17):
     """Per-KEY approximate COUNT(DISTINCT col): one 2^p-byte HLL register
-    row per key per block, merged by (key, elementwise max) through the
-    combine tree — exchange volume is keys x 2^p bytes per block,
+    row per key per block, merged by (key, elementwise max) with the
+    keyed-reduction size rule (``agg.reduce_by_key``): once on the driver
+    when the partials fit one place, else per block of one keyed exchange
+    on ``key`` -- exchange volume is keys x 2^p bytes per block,
     independent of row count, and the idempotent max-merge stays
     retry-safe.  Returns (key, approx_distinct:float64).
 
     The sketch companion to the exact map-side-dedup plan
     (``extras.events_distinct_types``) for key spaces where exact
     per-group dedup no longer fits."""
-    from .agg import combine_tree
+    from .agg import reduce_by_key
 
     m = 1 << p
 
@@ -110,41 +112,31 @@ def hll_distinct_by_key(ds, key: str, col: str, *, p: int = 12,
                 ks.append(kv[s])              # (not per row; bounded by
                 regs.append(_registers(vv[s:e], p, seed)  # keys per block)
                             .tobytes())
-        return pa.table({key: pa.array(ks),
+        return pa.table({key: pa.array(ks, b[key].type),
                          "regs": pa.array(regs, pa.binary())})
 
-    def combine(b: pa.Table) -> pa.Table:
+    def estimate(b: pa.Table) -> pa.Table:    # once per key
         if b.num_rows == 0:
-            return b
+            return pa.table({key: b[key],
+                             "approx_distinct": pa.array([], pa.float64())})
         kv = b[key].to_numpy(zero_copy_only=False)
         stack = np.frombuffer(b"".join(b["regs"].to_pylist()),
                               dtype=np.uint8).reshape(-1, m)
         order = np.argsort(kv, kind="stable")
         kv = kv[order]
-        stack = stack[order]
         change = np.ones(kv.size, dtype=bool)
         change[1:] = kv[1:] != kv[:-1]
         starts = np.flatnonzero(change)
-        merged = np.maximum.reduceat(stack, starts, axis=0)
-        return pa.table({key: pa.array(kv[starts]),
-                         "regs": pa.array([r.tobytes() for r in merged],
-                                          pa.binary())})
+        merged = np.maximum.reduceat(stack[order], starts, axis=0)
+        return pa.table({key: b[key].take(pa.array(order[starts])),
+                         "approx_distinct": pa.array(
+                             [_estimate(r) for r in merged], pa.float64())})
 
-    cur = combine_tree(ds.select_columns([key, col]), combine,
-                       first=partial, fanout=fanout)
-
-    def estimate(b: pa.Table) -> pa.Table:
-        vals = [_estimate(np.frombuffer(r, dtype=np.uint8))
-                for r in b["regs"].to_pylist()]
-        return pa.table({key: b[key],
-                         "approx_distinct": pa.array(vals, pa.float64())})
-
-    return cur.map_batches(estimate, batch_format="pyarrow",
-                           batch_size=None)
+    return reduce_by_key(ds.select_columns([key, col]), [key], partial,
+                         estimate)
 
 
-def mg_topk(ds, col: str, *, capacity: int = 256, k: int = 20,
-            fanout: int = 8, pre=None):
+def mg_topk(ds, col: str, *, capacity: int = 256, k: int = 20, pre=None):
     """Approximate top-k heavy hitters (Misra-Gries, mergeable-summaries
     merge).  Returns a Dataset of <= k rows (col, est) sorted by estimate
     descending; ``est`` is a LOWER bound with deterministic error
@@ -153,7 +145,7 @@ def mg_topk(ds, col: str, *, capacity: int = 256, k: int = 20,
 
     Exchange volume: <= ``capacity`` rows per block regardless of input
     size — the scale path when the exact ``topk.topk_rows``-over-
-    ``grouped_agg`` plan's key cardinality exceeds the tree/shuffle
+    ``grouped_agg`` plan's key cardinality exceeds the driver/exchange
     budget.  ``pre``: optional per-block transform (e.g. token explode)
     fused into the partial kernel."""
     import pyarrow.compute as pc
@@ -184,7 +176,7 @@ def mg_topk(ds, col: str, *, capacity: int = 256, k: int = 20,
         return _compress(pa.table({col: agg[col], "est": agg["est_sum"]}))
 
     from .agg import combine_tree
-    cur = combine_tree(ds, combine, first=partial, fanout=fanout)
+    cur = combine_tree(ds, combine, first=partial)
 
     def head(b: pa.Table) -> pa.Table:
         idx = pc.sort_indices(b, sort_keys=[("est", "descending"),

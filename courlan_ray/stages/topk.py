@@ -2,15 +2,16 @@
 
 Top-k under a lexicographic sort order is ASSOCIATIVE: the global top-k is
 contained in the union of per-block top-ks, so the scale-correct plan is a
-per-block partial top-k followed by a fanout-to-1 combine tree (the same
-topology as ``stages/agg.grouped_agg``) — never a global ``ds.sort`` (an
-all-to-all range shuffle of every row to rank k of them) and never a
-driver-side concat of all partials (10^6 blocks x k rows on one node).
+per-block partial top-k merged again -- never a global ``ds.sort`` (an
+all-to-all range shuffle of every row to rank k of them).
 
-Each merge task holds at most ``fanout * k`` rows; the tree is
-``log_fanout(blocks)`` deep.  Ties are broken by the caller-supplied sort
-key list, which must be a TOTAL order (include a unique id column last)
-for the result to be deterministic and oracle-comparable.
+``topk_rows`` has no key to exchange on: its partials merge through
+``agg.combine_tree``, where each merge task holds at most ``_FANOUT * k``
+rows and the tree is ``log_fanout(blocks)`` deep.  ``topk_per_group``
+follows the keyed-reduction size rule (``agg.reduce_by_key``).  Ties are
+broken by the caller-supplied sort key list, which must be a TOTAL order
+(include a unique id column last) for the result to be deterministic and
+oracle-comparable.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def topk_rows(ds, sort_keys: list[tuple[str, str]], k: int, *,
-              fanout: int = 8):
+def topk_rows(ds, sort_keys: list[tuple[str, str]], k: int):
     """Exact global top-k rows of ``ds`` under ``sort_keys``.
 
     sort_keys: [(column, "ascending"|"descending"), ...] — must totally
@@ -39,12 +39,12 @@ def topk_rows(ds, sort_keys: list[tuple[str, str]], k: int, *,
         return b.take(idx.slice(0, k))
 
     from .agg import combine_tree
-    return combine_tree(ds, local, fanout=fanout)
+    return combine_tree(ds, local)
 
 
 def topk_per_group(ds, group_keys: list[str],
                    sort_keys: list[tuple[str, str]], k: int, *,
-                   fanout: int = 8, rank_col: str | None = None):
+                   rank_col: str | None = None):
     """Exact top-k rows PER GROUP (the "best N documents per domain"
     operator): SQL's ``row_number() OVER (PARTITION BY ... ORDER BY ...)
     <= k`` without a global sort.
@@ -52,20 +52,19 @@ def topk_per_group(ds, group_keys: list[str],
     Per-group top-k is associative like global top-k, so the plan is the
     same partial/combine shape: each block keeps its local top-k per group
     (one group-major vectorized sort + segmented rank, no per-group loop),
-    then either a fanout combine tree (the input fits one task) or ONE
-    keyed exchange on ``group_keys`` (``joins.keyed_map``) + a final
-    per-block pass (every group lands wholly in one block — the
-    10^9-groups topology); ``agg.tree_or_keyed`` picks the side.
+    then one final pass over the partials (``agg.reduce_by_key``): on the
+    driver when they fit one place, else per block of ONE keyed exchange
+    on ``group_keys``, where every group lands wholly in one block -- the
+    10^9-groups topology.  A zero-row input gives the typed empty result.
 
     ``sort_keys`` must totally order rows within a group (append a unique
     id) for deterministic, oracle-comparable output.
 
     ``rank_col``: optionally stamp each surviving row's 1-based position
     within its group (SQL's ``row_number()``) under that column name.  The
-    local kernel re-stamps at every tree level / the final per-partition
-    pass, so the LAST application — which sees each group whole — wins;
-    intermediate stamps are recomputed, never trusted."""
-    from .agg import tree_or_keyed
+    local kernel re-stamps in the final pass, which sees each group whole;
+    the per-block stamps are recomputed, never trusted."""
+    from .agg import reduce_by_key
 
     order = [(g, "ascending") for g in group_keys] + list(sort_keys)
 
@@ -95,4 +94,4 @@ def topk_per_group(ds, group_keys: list[str],
             t = t.append_column(rank_col, pa.array(pos[keep] + 1))
         return t
 
-    return tree_or_keyed(ds, group_keys, local, local, fanout=fanout)
+    return reduce_by_key(ds, group_keys, local, local)

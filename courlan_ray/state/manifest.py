@@ -110,50 +110,6 @@ class Checkpoint:
                      wall_sec=round(time.time() - t0, 3))
         return result
 
-    def run_sharded(self, name: str, input_files: list[str], make,
-                    n_shards: int = 16):
-        """SHARD-granular resumable stage for map-only transforms.
-
-        ``input_files`` (e.g. the parquet files of the input table) are
-        grouped round-robin into ``n_shards`` shards; each shard's output
-        is written to its own subdirectory (``shard=NNNNN``) with a
-        ``_SUCCESS`` marker, and a per-shard manifest record is appended.
-        A resumed run (same root/config) recomputes ONLY shards without a
-        marker — the north_rule's "resume mid-run without recomputing
-        completed partitions" at sub-stage granularity, with zero read
-        amplification (each shard reads only its own input files).
-
-        ``make(shard_ds) -> Dataset`` must be a per-row/per-file transform
-        (no cross-shard state) — true for signature/canonicalize stages,
-        not for shuffles."""
-        import ray.data as rd
-
-        out_root = self._dir(name)
-        os.makedirs(out_root, exist_ok=True)
-        files = sorted(input_files)
-        shards = [files[s::n_shards] for s in range(n_shards)]
-        for s, shard_files in enumerate(shards):
-            if not shard_files:
-                continue
-            # dash, not "shard=NNNNN": key=value dirs trigger Ray's hive
-            # partitioning and would surface a spurious 'shard' column,
-            # diverging the sharded schema from the unsharded one
-            sdir = os.path.join(out_root, f"shard-{s:05d}")
-            if os.path.exists(os.path.join(sdir, "_SUCCESS")):
-                self._record(name, status="shard_skipped", shard=s,
-                             out_dir=sdir)
-                continue
-            t0 = time.time()
-            write_parquet_atomic(make(rd.read_parquet(shard_files)), sdir,
-                                 self.stage_fingerprint(name))
-            rows = rd.read_parquet(sdir).count()
-            self._record(name, status="shard_computed", shard=s,
-                         out_dir=sdir, rows=rows, n_input_files=len(shard_files),
-                         wall_sec=round(time.time() - t0, 3))
-        with open(os.path.join(out_root, "_SUCCESS"), "w") as fh:
-            fh.write(self.stage_fingerprint(name))
-        return rd.read_parquet(out_root)
-
     def _record(self, name: str, **kw) -> None:
         rec = {"stage": name, "config_fp": self.stage_fingerprint(name),
                "ts": time.strftime("%Y-%m-%dT%H:%M:%S"), **kw}

@@ -1,8 +1,8 @@
 """Every dual-path stage gives the same answer on both sides of the one
 size rule (``joins.fits_one_task``): its one-place side (driver collect,
-broadcast probe, combine tree) by default, and its keyed-exchange side
-under ``joins.exchanges_only()``.  A spy on ``joins.keyed_map`` checks
-that each run took the side it should."""
+such as a keyed reduction's partials, or broadcast probe) by default, and
+its keyed-exchange side under ``joins.exchanges_only()``.  A spy on
+``joins.keyed_map`` checks that each run took the side it should."""
 
 import numpy as np
 import pandas as pd

@@ -84,7 +84,8 @@ def _docs(texts):
 
 def test_text_scale_path_runs_eight_executions(executions, dags):
     """Text on the scale caps: sigtable, exact-dup exchange, survivors +
-    LSH stars, LSH exchange, pair count, verify's two keyed passes +
+    LSH stars, LSH exchange, the pair count's partials (merged on the
+    driver, so no ``Repartition`` runs), verify's two keyed passes +
     verify, one star-contraction round, and the final attach -- none only
     projects.  Verify reads the pairs and the signatures once each: pass
     1 (keyed on the id) tags and places each in one map, and pass 1's
@@ -99,6 +100,8 @@ def test_text_scale_path_runs_eight_executions(executions, dags):
                              "4": "1"}
     assert [r for r in executions if _no_work(r)] == []
     assert len(executions) == 8, executions
+    assert not [n for d in dags for n in _nodes(d)
+                if n[0].startswith("Repartition")], dags
 
     verify = [d for d in dags
               if any(n[0].startswith("UnionOperator") for n in _nodes(d))]
@@ -136,16 +139,17 @@ def test_partitioned_join_tags_and_places_each_side_in_one_map(dags):
 
 
 def test_flagship_runs_six_executions(executions):
-    """The flagship on the default config: sigtable, the valid-row split,
-    survivors + LSH stars, verify, the reject counters, and the final
-    attach.  The valid-row split (``dedup_pipeline``, before the chain) is
-    the one execution that only filters: the chain's size rule reads its
-    row count."""
+    """The flagship on the default config over a multi-block input (the
+    benchmark's 2,048 rows): sigtable, the valid-row split, survivors +
+    LSH stars, verify, the reject counters' partials (merged on the
+    driver), and the final attach.  The valid-row split
+    (``dedup_pipeline``, before the chain) is the one execution that only
+    filters: the chain's size rule reads its row count."""
     import ray.data as rd
     from courlan_ray.pipelines.image_dedup import dedup_pipeline
     from courlan_ray.sources.synth import synth_parquet
 
-    ds = rd.read_parquet(synth_parquet(400, 42))
+    ds = rd.read_parquet(synth_parquet(2048, 42))
     executions.clear()          # a first call writes the cached input
     out = dedup_pipeline(ds, DedupConfig())
     assert out["clusters"].to_pandas()["cluster_size"].max() > 1

@@ -2,7 +2,6 @@
 identical output; §7.4: config change invalidates downstream only)."""
 
 import dataclasses
-import os
 import shutil
 
 import pytest
@@ -89,52 +88,6 @@ def test_mid_run_kill_resume(synth_path, tmp_path):
     assert c1.equals(c2)
 
 
-def test_run_sharded_resumes_per_shard(tmp_path):
-    """Shard-granular resume: completed shards are never recomputed."""
-    import os
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
-    from courlan_ray.config import DedupConfig
-    from courlan_ray.state.manifest import Checkpoint
-
-    files = []
-    for i in range(6):
-        p = str(tmp_path / f"in{i}.parquet")
-        pq.write_table(pa.table({"x": pa.array([i * 10 + j for j in range(5)],
-                                               pa.int64())}), p)
-        files.append(p)
-
-    calls = []
-
-    def make(ds):
-        calls.append(1)
-        return ds.map_batches(
-            lambda b: b.append_column("y", pa.array(
-                [v * 2 for v in b["x"].to_pylist()], pa.int64())),
-            batch_format="pyarrow")
-
-    root = str(tmp_path / "ck")
-    ck = Checkpoint(root, DedupConfig())
-    out = ck.run_sharded("sigtable", files, make, n_shards=3)
-    assert out.count() == 30 and len(calls) == 3
-
-    # simulate a mid-run crash: delete ONE shard's marker
-    out_root = ck._dir("sigtable")
-    victim = os.path.join(out_root, "shard-00001")
-    os.remove(os.path.join(victim, "_SUCCESS"))
-
-    calls.clear()
-    ck2 = Checkpoint(root, DedupConfig())
-    out2 = ck2.run_sharded("sigtable", files, make, n_shards=3)
-    assert out2.count() == 30 and len(calls) == 1   # only the victim reran
-    recs = [r for r in ck2.records() if r.get("status") == "shard_skipped"]
-    assert len(recs) >= 2
-    got = sorted(out2.to_pandas()["y"])
-    assert got == sorted(v * 2 for f in range(6) for v in
-                         range(f * 10, f * 10 + 5))
-
-
 def test_run_persists_empty_stage(tmp_path):
     """A zero-row stage must write a schema-bearing empty parquet so the
     resumed read returns the same typed empty dataset."""
@@ -185,53 +138,3 @@ def test_zero_rows_fresh_and_resumed(synth_path, tmp_path):
             assert dict(zip(schema.names, schema.types)) == want, name
             assert {r["stage"]: r["status"] for r in ck.records()} == \
                 {"sigtable": status}, name
-
-
-def test_run_sharded_no_spurious_partition_column(tmp_path):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    from courlan_ray.config import DedupConfig
-    from courlan_ray.state.manifest import Checkpoint
-
-    p = str(tmp_path / "in.parquet")
-    pq.write_table(pa.table({"x": pa.array([1, 2, 3], pa.int64())}), p)
-    ck = Checkpoint(str(tmp_path / "ck"), DedupConfig())
-    out = ck.run_sharded("sigtable", [p], lambda ds: ds, n_shards=2)
-    assert out.schema().names == ["x"]          # no hive 'shard' column
-
-def test_run_sharded_empty_shard(tmp_path):
-    """A shard whose transform drops every row must still complete (write a
-    schema-bearing empty parquet, mark _SUCCESS) instead of crashing on the
-    missing tmp directory — ADVICE round 2 (manifest.py run_sharded)."""
-    import os
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    from courlan_ray.config import DedupConfig
-    from courlan_ray.state.manifest import Checkpoint
-
-    files = []
-    for i in range(2):
-        p = str(tmp_path / f"in{i}.parquet")
-        pq.write_table(pa.table({"x": pa.array([i * 10 + j for j in range(5)],
-                                               pa.int64())}), p)
-        files.append(p)
-
-    def make(ds):
-        # drops ALL rows of shard 1 (x >= 10), keeps shard 0
-        return ds.filter(expr="x < 5")
-
-    root = str(tmp_path / "ck")
-    ck = Checkpoint(root, DedupConfig())
-    out = ck.run_sharded("sigtable", files, make, n_shards=2)
-    assert out.count() == 5
-    assert out.schema().names == ["x"]
-    out_root = ck._dir("sigtable")
-    # both shards completed (markers present), incl. the empty one
-    for s in range(2):
-        assert os.path.exists(os.path.join(out_root, f"shard-{s:05d}",
-                                           "_SUCCESS"))
-    # resume recomputes nothing and returns the same rows
-    out2 = Checkpoint(root, DedupConfig()).run_sharded(
-        "sigtable", files, lambda ds: (_ for _ in ()).throw(
-            AssertionError("shard recomputed")), n_shards=2)
-    assert out2.count() == 5

@@ -77,7 +77,7 @@ def test_topk_per_group_matches_window_function(mode):
 
 def test_topk_per_group_multiblock_groups_split():
     """A group scattered across every block still yields its exact global
-    top-k (the associativity the combine tree relies on)."""
+    top-k (the associativity the per-block partials rely on)."""
     df = pd.DataFrame({"g": [0] * 50 + [1] * 50,
                        "v": list(range(50)) + list(range(50)),
                        "id": range(100)}).sample(frac=1, random_state=3)
