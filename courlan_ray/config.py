@@ -61,7 +61,7 @@ class DedupConfig:
     # --- connected components ---
     driver_cc_max_pairs: int = 2_000_000   # below: driver union-find; above: star contraction
 
-    # --- row caps of one-place sides, on top of joins.fits_one_task's
+    # --- row caps of one-place sides, on top of joins.one_place's
     # byte budget (0 forces the keyed-exchange side) ---
     lsh_driver_link_max: int = 1_000_000   # LSH level-2 rep rows: below ->
                                            # driver-local vectorized link;

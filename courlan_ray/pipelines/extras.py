@@ -363,7 +363,7 @@ def doc_top_term(sf_dir: str):
 
     from ..functions.textstats import _explode_tokens
     from ..stages.agg import grouped_agg
-    from ..stages.joins import attach_by_key
+    from ..stages.joins import join
     from ..stages.topk import topk_per_group
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
@@ -392,7 +392,7 @@ def doc_top_term(sf_dir: str):
         out["score"] = _round4(s)
         return out
 
-    scored = attach_by_key(tf, df_tbl, ["token"]).map_batches(
+    scored = join(tf, df_tbl, "inner", ["token"]).map_batches(
         score, batch_format="pandas", batch_size=None)
     return topk_per_group(scored, ["doc_id"],
                           [("score", "descending"), ("token", "ascending")],
@@ -614,7 +614,7 @@ def q3_shipping(sf_dir: str):
     import datetime
     import pyarrow.compute as pc
     from ..stages.agg import grouped_agg
-    from ..stages.joins import attach_by_key, filter_by_keys
+    from ..stages.joins import join
 
     cutoff = datetime.datetime(1998, 6, 1)
 
@@ -627,8 +627,7 @@ def q3_shipping(sf_dir: str):
     orders = orders.map_batches(
         lambda b: b.filter(pc.less(b["o_orderdate"], pa.scalar(cutoff))),
         batch_format="pyarrow")
-    orders = filter_by_keys(orders, cust, "o_custkey", keep=True,
-                            keys_col="c_custkey")
+    orders = join(orders, cust, "left_semi", ["o_custkey"], ["c_custkey"])
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
@@ -641,7 +640,7 @@ def q3_shipping(sf_dir: str):
 
     rev = grouped_agg(li.map_batches(rev_parts, batch_format="pyarrow"),
                       ["o_orderkey"], [("rev", "sum", "revenue")])
-    joined = attach_by_key(rev, orders, ["o_orderkey"])
+    joined = join(rev, orders, "inner", ["o_orderkey"])
 
     def round_rev(b: pa.Table) -> pa.Table:
         i = b.schema.get_field_index("revenue")
@@ -839,7 +838,7 @@ def doc_training_prep(sf_dir: str):
     reps = (out["clusters"]
             .filter(expr="is_representative == True")
             .select_columns(["image_id", "cluster_size"]))
-    from ..stages.joins import attach_by_key
+    from ..stages.joins import join
 
     def add_key(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -847,7 +846,7 @@ def doc_training_prep(sf_dir: str):
 
     keyed = gated.drop_columns(["text"]).map_batches(add_key,
                                                      batch_format="pyarrow")
-    joined = attach_by_key(keyed, reps, ["image_id"])   # inner: reps only
+    joined = join(keyed, reps, "inner", ["image_id"])   # reps only
 
     def add_split(b: pa.Table) -> pa.Table:
         split = _split_labels(b["doc_id"].to_numpy(zero_copy_only=False))

@@ -118,7 +118,7 @@ def wordpress_sources(ds, *, lax: bool = False, text_col: str = "text",
                          "__line": pa.array(lines, pa.int64())})
 
     import ray.data as rd
-    from ..stages.joins import attach_by_key
+    from ..stages.joins import join
 
     if not ordered:
         cand = ds.map_batches(kernel, batch_format="pyarrow")
@@ -141,7 +141,7 @@ def wordpress_sources(ds, *, lax: bool = False, text_col: str = "text",
     tbl["__line"] = np.arange(len(tbl), dtype=np.int64)
     cand = rd.from_pandas(tbl).map_batches(kernel, batch_format="pyarrow")
     firsts = grouped_agg(cand, ["host"], [("__line", "min", "__first")])
-    joined = attach_by_key(cand, firsts, ["host"])
+    joined = join(cand, firsts, "inner", ["host"])
 
     def keep_first(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

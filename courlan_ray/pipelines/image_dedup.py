@@ -29,7 +29,7 @@ Design for scale (SURVEY.md §7.3/§7.4 + VERDICT round 1):
 - no stage collects the corpus on the driver unconditionally: the LSH
   cross-block link and pair verification switch to keyed exchanges /
   partitioned joins once their one-place side no longer fits the
-  ``stages/joins.fits_one_task`` byte budget.
+  ``stages/joins.one_place`` byte budget.
 """
 
 from __future__ import annotations

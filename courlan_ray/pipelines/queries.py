@@ -160,14 +160,14 @@ def events_first_per_user(sf_dir: str):
     (/root/reference/courlan/urlstore.py:409-430) as a dataflow —
     first event per user by (ts, event_id)."""
     from ..stages.agg import grouped_agg
-    from ..stages.joins import attach_by_key
+    from ..stages.joins import join
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     first_ts = grouped_agg(ds, ["user_id"], [("ts", "min", "min_ts")])
-    at_min = attach_by_key(ds, first_ts, ["user_id"]).map_batches(
+    at_min = join(ds, first_ts, "inner", ["user_id"]).map_batches(
         lambda b: b.filter(pc.equal(b["ts"], b["min_ts"])),
         batch_format="pyarrow")
     out = grouped_agg(at_min, ["user_id"], [("event_id", "min", "event_id")])
-    withts = attach_by_key(out, first_ts, ["user_id"])
+    withts = join(out, first_ts, "inner", ["user_id"])
     return withts.map_batches(
         lambda b: pa.table({"user_id": b["user_id"], "event_id": b["event_id"],
                             "ts": b["min_ts"]}), batch_format="pyarrow")
@@ -238,27 +238,27 @@ def q1_lineitem(sf_dir: str):
 def orders_top_customers(sf_dir: str):
     """Broadcast dimension join + grouped sum + deterministic top-10."""
     from ..stages.agg import grouped_agg
-    from ..stages.joins import attach_by_key
+    from ..stages.joins import join
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     tot = grouped_agg(orders, ["o_custkey"],
                       [("o_totalprice", "sum", "total")])
-    named = attach_by_key(
+    named = join(
         tot.map_batches(lambda b: pa.table(
             {"c_custkey": b["o_custkey"], "total": _sql_round(b["total"], 2)}),
             batch_format="pyarrow"),
-        cust, ["c_custkey"])
+        cust, "inner", ["c_custkey"])
     return named.sort(["total", "c_custkey"], descending=[True, False]).limit(10)
 
 
 def anti_join_customers(sf_dir: str):
     """Left anti join (_search_urls filter_unknown_urls shape,
     /root/reference/courlan/urlstore.py:277-295): customers with no orders."""
-    from ..stages.joins import filter_by_keys
+    from ..stages.joins import join
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
-    out = filter_by_keys(cust, orders, "c_custkey", keep=False,
-                         keys_col="o_custkey").to_pandas()
+    out = join(cust, orders, "left_anti", ["c_custkey"],
+               ["o_custkey"]).to_pandas()
     if out.empty:   # an all-filtered Dataset loses its schema; pin it
         out = pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
                             "c_name": pd.Series(dtype=object)})
@@ -267,12 +267,12 @@ def anti_join_customers(sf_dir: str):
 
 def semi_join_lineitems(sf_dir: str):
     """Semi join + global count: lineitems of open orders."""
-    from ..stages.joins import filter_by_keys
+    from ..stages.joins import join
     li = _read(sf_dir, "lineitem", ["l_orderkey"])
     open_orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"]) \
         .filter(expr="o_orderstatus == 'O'")
-    kept = filter_by_keys(li, open_orders, "l_orderkey", keep=True,
-                          keys_col="o_orderkey")
+    kept = join(li, open_orders, "left_semi", ["l_orderkey"],
+                ["o_orderkey"])
     return pa.table({"n": pa.array([kept.count()], pa.int64())})
 
 

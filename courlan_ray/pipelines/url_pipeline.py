@@ -68,14 +68,14 @@ def sample_by_host(ds, samplesize: int, *, exclude_min: int | None = None,
     # the earlier unsigned argsort, so drawn samples differ from pre-r4
     # outputs for hashes with the top bit set.
     from ..stages.agg import grouped_agg
-    from ..stages.joins import attach_by_key
+    from ..stages.joins import join
     from ..stages.topk import topk_per_group
 
     nonroot = hp.filter(expr="path != '/'")
     distinct = grouped_agg(nonroot, ["hostinfo", "path"],
                            [("path", "count", "_c")]).drop_columns(["_c"])
     sizes = grouped_agg(distinct, ["hostinfo"], [("path", "count", "_n")])
-    gated = attach_by_key(distinct, sizes, ["hostinfo"])
+    gated = join(distinct, sizes, "inner", ["hostinfo"])
 
     def gate_and_rank(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

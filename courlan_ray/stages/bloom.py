@@ -6,7 +6,7 @@ the key set is ~10 bits/key (a 10^9-key set fits ~1.2 GB, broadcast once
 via ``ray.put``), the probe is a vectorized bit test inside
 ``map_batches`` that eliminates almost every non-member locally, and only
 the surviving candidates pay the exact tier — so the expensive exact
-check (broadcast set here; ``joins.filter_by_keys``'s partitioned
+check (broadcast set here; ``joins.join``'s keyed
 semi-join at scale) touches a tiny fraction of rows.  No false negatives
 (a true member always survives the probe), so bloom-then-exact is EXACT:
 ``bloom_semi_filter`` returns precisely the semi/anti join result.
@@ -125,8 +125,8 @@ def bloom_semi_filter(ds, keys_ds, col: str, *, keep: bool,
     eliminates non-members map-side (no false negatives), then the exact
     key set verifies the few candidates.  The exact tier here broadcasts
     the key set (``ray.put`` once); for a key set that does not fit one
-    task (``joins.fits_one_task``) compose the bloom probe with
-    ``filter_by_keys``'s partitioned semi-join instead — the probe output
+    place (``joins.one_place``) compose the bloom probe with
+    ``joins.join``'s keyed semi-join instead — the probe output
     IS its input."""
     import ray
 

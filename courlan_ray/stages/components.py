@@ -3,7 +3,7 @@
 Two execution paths, chosen by the edge table's size (SURVEY.md §7.4
 "union-find at scale"):
 
-- ``driver_union_find``: edges that fit one task (``joins.fits_one_task``)
+- ``driver_union_find``: edges that fit one task (``joins.one_place``)
   and number at most ``cfg.driver_cc_max_pairs`` are pulled to the driver
   (two narrow string columns) and solved with path-compressed union-find.
   Dup edges are O(#duplicates), far smaller than the input.
@@ -15,8 +15,8 @@ Two execution paths, chosen by the edge table's size (SURVEY.md §7.4
 ``cluster_id`` is the minimum ``image_id`` of the component — order-free
 determinism (SURVEY.md §4): no dependence on arrival order or parallelism.
 Both paths return the same (image_id, cluster_id, cluster_size) table,
-and ``assign_clusters`` attaches it to every valid id with one left
-``attach_by_key``, which also picks the one-per-cluster representative
+and ``assign_clusters`` attaches it to every valid id with one left outer
+``joins.join``, which also picks the one-per-cluster representative
 (the minimum id, UrlStore's one-per-domain draw generalized).
 """
 
@@ -190,16 +190,11 @@ def assign_clusters(all_ids_ds, components_ds, cfg: DedupConfig):
     (image_id, cluster_id, cluster_size) for the nodes in some edge;
     broadcast when small, else partitioned join."""
     def fill(b: pa.Table) -> pa.Table:
-        # a block with no component member comes back from the pandas
-        # merge with null-typed columns, which coalesce rejects
-        own = pc.cast(b["image_id"], pa.string())
-        cid = pc.coalesce(pc.cast(b["cluster_id"], pa.string()), own)
-        size = pc.coalesce(pc.cast(b["cluster_size"], pa.int64()),
-                           pa.scalar(1, pa.int64()))
+        cid = pc.coalesce(b["cluster_id"], b["image_id"])
+        size = pc.coalesce(b["cluster_size"], pa.scalar(1, pa.int64()))
         return pa.table({"image_id": b["image_id"], "cluster_id": cid,
                          "cluster_size": size,
-                         "is_representative": pc.equal(own, cid)})
+                         "is_representative": pc.equal(b["image_id"], cid)})
 
-    out = joins.attach_by_key(all_ids_ds, components_ds, ["image_id"],
-                              how="left")
+    out = joins.join(all_ids_ds, components_ds, "left_outer", ["image_id"])
     return out.map_batches(fill, batch_format="pyarrow")

@@ -20,7 +20,8 @@ training corpus is TBs), so this is the canonical broadcast-lookup shape:
 If the contamination source ever outgrew broadcast (``ray.put`` of the
 gram array > ~1 GB), the scale path is the existing size-adaptive
 semi-join: explode training grams to (doc_id, gram) rows and route through
-``stages/joins.filter_by_keys`` — same output, one keyed shuffle.
+``stages/joins.join(..., "left_semi", ...)`` — same output, one keyed
+shuffle.
 
 n-grams are 64-bit chain hashes over ``functions.textstats._TOKEN_RE``
 tokens (``stages/ngram_jaccard._gram_sets``), so the DuckDB oracle twin

@@ -5,21 +5,21 @@ driver collect, such as the partials of a keyed reduction, or a broadcast
 probe) when it is small and runs a keyed exchange (``keyed_map``)
 otherwise: at small sizes the one place is usually faster, and only the
 exchange scales.
-``fits_one_task`` makes that call for all of them from the measured rows
+``one_place`` makes that call for all of them from the measured rows
 and bytes of the materialized side the one-place path would hold, against
 one byte budget (``SMALL_BYTES``); ``exchanges_only()`` forces the
 exchange side everywhere.
 
-Three lookup patterns, mirroring the reference's lookup shapes:
+Two lookup shapes, mirroring the reference's lookups:
 
-- broadcast semi/anti join: small key side shipped once via ``ray.put`` and
-  probed with a vectorized ``pc.is_in`` inside ``map_batches`` (the robots
-  rules / blacklist lookup pattern, /root/reference/courlan/urlstore.py:515-522,
-  core.py:115-119);
-- partitioned sort-merge join when both sides are large (the _search_urls
-  anti-join, urlstore.py:277-295): both sides go through ONE keyed
-  exchange, each tagged and placed in the map that reads it, and each
-  block is joined on its own;
+- ``join``: the one equi-join (inner, left outer, left semi, left anti) —
+  the robots rules / blacklist lookup
+  (courlan/urlstore.py:515-522, core.py:115-119 in the reference) and the
+  _search_urls anti-join (urlstore.py:277-295).  A right side that fits
+  one place is shipped once via ``ray.put`` and joined by a map over the
+  lazy left; else both sides go through ONE keyed exchange, each tagged
+  and placed in the map that reads it.  Both sides run one block kernel
+  (``_merged``), so null keys and payload types come out alike;
 - ``hash_join_pairs``: attach per-id payload columns to a pair table
   (left_id, right_id) — the candidate-pair -> signature lookup, matched
   on the id values themselves (a broadcast ``pd.Index``, or two keyed
@@ -70,7 +70,7 @@ _EXCHANGES_ONLY = ContextVar("exchanges_only", default=False)
 
 @contextmanager
 def exchanges_only():
-    """Within the block ``fits_one_task`` answers False, so every
+    """Within the block ``one_place`` answers None, so every
     dual-path stage built there takes its keyed-exchange side (the
     ``*_shuffle`` queries and the both-sides tests)."""
     token = _EXCHANGES_ONLY.set(True)
@@ -78,13 +78,6 @@ def exchanges_only():
         yield
     finally:
         _EXCHANGES_ONLY.reset(token)
-
-
-def fits_one_task(ds) -> bool:
-    """Whether the materialized ``ds`` is small enough to hold in one
-    place: at most ``SMALL_BYTES`` (block metadata, so nothing executes
-    again; no block counts 0 bytes; the row caps are ``one_place``'s)."""
-    return not _EXCHANGES_ONLY.get() and (ds.size_bytes() or 0) <= SMALL_BYTES
 
 
 def cluster_cpus() -> int:
@@ -192,15 +185,18 @@ def keyed_map(ds, keys: list[str], kernel):
 
 def one_place(ds, cols: list[str] | None = None, max_rows: int | None = None):
     """The ``cols`` (default: all) of the materialized ``ds`` as one driver
-    table, or None (also for a schema-less empty).  ``max_rows`` refuses
-    first; a ``ds`` within ``SMALL_BYTES`` is collected and projected here,
-    and only one over it has its projection materialized and measured."""
+    table, or None (also for a schema-less empty): the size rule of every
+    dual-path stage.  ``max_rows`` refuses first; then the bytes decide,
+    read from block metadata (so nothing executes again; no block counts
+    0 bytes): a ``ds`` within ``SMALL_BYTES`` is collected and projected
+    here, and only one over it has its projection materialized and
+    measured."""
     ds = ds.materialize()
     if _EXCHANGES_ONLY.get() or max_rows is not None and ds.count() > max_rows:
         return None
-    if not fits_one_task(ds):
+    if (ds.size_bytes() or 0) > SMALL_BYTES:
         ds = (ds.select_columns(cols) if cols else ds).materialize()
-        if not fits_one_task(ds):
+        if (ds.size_bytes() or 0) > SMALL_BYTES:
             return None
     tbl = _collect(ds)
     return (tbl.select(cols) if cols else tbl) if tbl.num_columns else None
@@ -220,50 +216,84 @@ def kernel_by_key(ds, keys: list[str], kernel, max_rows: int | None = None,
     return keyed_map(ds.select_columns(cols) if cols else ds, keys, kernel)
 
 
+def join(left, right, how: str, on: list[str],
+         right_on: list[str] | None = None, cols: list[str] | None = None):
+    """The equi-join (``how``: ``inner``, ``left_outer``, ``left_semi`` or
+    ``left_anti``) of ``left`` and ``right`` on the key columns ``on`` /
+    ``right_on`` (default ``on``): left columns, then the right columns
+    ``cols`` (default: all non-key; none for a semi or anti join).  A
+    repeated right key gives one row per copy, a null key matches nothing,
+    and right keys compare as the left keys' types.
+
+    The materialized ``right`` picks the side (``one_place`` of its keys
+    and ``cols``).  Broadcast: that table, its keys renamed to ``on``, is
+    ``ray.put`` once and joined by a map over the lazy ``left`` (which
+    fuses into it).  Keyed: both sides are tagged (the right one projected
+    and renamed there) under one schema (the other side's columns as
+    typed nulls) and go through ONE ``keyed_map``; a side with no rows
+    short-circuits to the typed result (the left rows for a left outer or
+    anti join, else empty).  Each broadcast batch and each keyed block
+    runs the same kernel, ``_merged``."""
+    import ray.data as rd
+
+    on = list(on)
+    right_on = list(right_on or on)
+    right, rf = _arrow_materialized(right)
+    if how in ("left_semi", "left_anti"):
+        cols = []
+    elif cols is None:
+        cols = [n for n in rf.names if n not in right_on]
+    extra = [rf.field(c) for c in cols]
+    acero = how.replace("_", " ")
+    small = one_place(right, right_on + cols)
+    if small is not None:
+        ref = ray.put(small.rename_columns(on + cols).combine_chunks())
+
+        def probe(b: pa.Table) -> pa.Table:
+            return _merged(b, cached_get(ref), on, acero, list(b.schema),
+                           extra)
+
+        return left.map_batches(probe, batch_format="pyarrow")
+
+    left, left_fields = _arrow_materialized(left)
+    n_left = left.count()
+    out_schema = pa.schema(list(left_fields) + extra)
+    if n_left and right.count():
+        carried = [pa.field(f.name, _union_type(f.type)) for f in out_schema]
+        union = pa.schema(carried + [pa.field("__right", pa.bool_())])
+
+        def tag(is_right: bool):
+            def fn(b: pa.Table) -> pa.Table:
+                if is_right:
+                    b = b.select(right_on + cols).rename_columns(on + cols)
+                return _conform(b.append_column(
+                    "__right", pa.array(np.full(b.num_rows, is_right))), union)
+            return fn
+
+        def merge(b: pa.Table) -> pa.Table:
+            is_right = b["__right"]
+            return _merged(b.filter(pc.invert(is_right)), b.filter(is_right),
+                           on, acero, list(left_fields), extra)
+
+        return keyed_map([(left, tag(False)), (right, tag(True))], on, merge)
+    if n_left and how in ("left_outer", "left_anti"):
+        def null_fill(batch: pa.Table) -> pa.Table:
+            for f in extra:
+                batch = batch.append_column(f, pa.nulls(batch.num_rows, f.type))
+            return batch
+        return left.map_batches(null_fill, batch_format="pyarrow",
+                                batch_size=None)
+    return rd.from_arrow(out_schema.empty_table())
+
+
 def filter_by_keys(ds, keys_ds, key_col: str, *, keep: bool,
                    keys_col: str | None = None):
-    """Semi (keep=True) or anti (keep=False) join of ``ds`` against the key
-    column ``keys_col`` (default ``key_col``) of ``keys_ds``: a broadcast
-    probe when the materialized column fits one task (``one_place``), a
-    partitioned semi or anti join above."""
-    kc = keys_col or key_col
-    keys_ds = keys_ds.materialize()
-    key_tbl = one_place(keys_ds, [kc])
-    if key_tbl is not None:
-        # Arrow-native collect: concat the key column's blocks and dedup
-        # with the hash kernel — never take_all() row dicts (a 5M-key side
-        # would build 5M Python dicts on the driver just to read one field)
-        ref = ray.put(safe_combine(key_tbl[kc]).unique())
-
-        def probe(batch: pa.Table) -> pa.Table:
-            vals = cached_get(ref)
-            mask = pc.is_in(batch[key_col], value_set=vals)
-            if not keep:
-                mask = pc.invert(mask)
-            return batch.filter(mask)
-
-        return ds.map_batches(probe, batch_format="pyarrow")
-    return _join(ds, keys_ds, "left_semi" if keep else "left_anti",
-                 on=(key_col,), right_on=(kc,), cols=[])
-
-
-def attach_by_key(left_ds, right_ds, on: list[str], *, how: str = "inner"):
-    """Inner/left join ``right_ds``'s columns onto ``left_ds`` by key
-    column(s).  A right side that fits one task is broadcast once via
-    ``ray.put`` and merged with vectorized pandas inside ``map_batches``
-    (no exchange); a larger one goes through the partitioned sort-merge
-    ``_join``."""
-    right_ds = right_ds.materialize()     # its size is then block metadata
-    small = one_place(right_ds)
-    if small is not None:
-        ref = ray.put(small.to_pandas())  # converted ONCE, shipped once
-
-        def attach(batch):
-            return batch.merge(cached_get(ref), how=how, on=on)
-
-        return left_ds.map_batches(attach, batch_format="pandas")
-    return _join(left_ds, right_ds, "inner" if how == "inner" else "left_outer",
-                 on=tuple(on))
+    """``join``'s left semi (``keep``) or anti join of ``ds`` on ``key_col``
+    against ``keys_ds``'s ``keys_col`` (default ``key_col``): the
+    survivors step of the dedup chain, under the name the benchmark's
+    ``stages.joins`` span wraps."""
+    return join(ds, keys_ds, "left_semi" if keep else "left_anti",
+                [key_col], [keys_col or key_col])
 
 
 def hash_join_pairs(pairs_ds, payload_ds, *, id_col: str, payload_cols: list[str],
@@ -399,7 +429,7 @@ def _arrow_materialized(ds):
 
 
 def _union_type(t: pa.DataType) -> pa.DataType:
-    """A column's type in a tagged union (``_join``, ``hash_join_pairs``'s
+    """A column's type in a tagged union (``join``, ``hash_join_pairs``'s
     first pass): fixed-size list payloads travel as a variable ``list``,
     so the side without them pays only offsets for its nulls
     (``pa.nulls(n, fixed_size_list<...>[k])`` allocates n x k values)."""
@@ -419,10 +449,12 @@ def _matches(lt: pa.Table, rt: pa.Table, on: list[str],
              how: str = "inner") -> pa.Table:
     """Row positions ``__l`` of ``lt`` and ``__r`` of ``rt`` (none for a
     semi or anti join) whose ``on`` columns match in the exact acero join
-    ``how``; only the keys and positions meet acero, so list payloads
-    never do.  Sorted on the positions: acero emits in no fixed order."""
+    ``how``, ``rt``'s keys cast to ``lt``'s types; only the keys and
+    positions meet acero, so list payloads never do.  Sorted on the
+    positions: acero emits in no fixed order."""
     def keyed(t, pos):
-        return pa.table([t[k] for k in on] + [pa.array(np.arange(t.num_rows))],
+        return pa.table([t[k].cast(lt[k].type) for k in on]
+                        + [pa.array(np.arange(t.num_rows))],
                         names=list(on) + [pos])
 
     hits = keyed(lt, "__l").join(keyed(rt, "__r"), list(on), join_type=how)
@@ -430,63 +462,16 @@ def _matches(lt: pa.Table, rt: pa.Table, on: list[str],
                          if c in hits.column_names])
 
 
-def _join(left, right, join_type: str, *, on: tuple,
-          right_on: tuple | None = None, cols: list[str] | None = None):
-    """Sort-merge join (``inner``, ``left_outer``, ``left_semi`` or
-    ``left_anti``) on the key columns ``on`` / ``right_on``: left columns,
-    then the right columns ``cols`` (default: all non-key); a repeated
-    right key gives one row per copy; null keys match nothing.  Fields
-    come from the materialized parents' schemas.
-
-    Both sides are tagged (the right one projected and renamed there)
-    under one schema (the other side's columns as typed nulls) and go
-    through ONE ``keyed_map``; each block joins only its key columns plus
-    a row index (``_matches``) and gathers the payload columns by index.
-    A side with no rows short-circuits to the typed result: the left rows
-    for a left outer or anti join, else empty."""
-    import ray.data as rd
-
-    right_on = right_on or on
-    left, left_fields = _arrow_materialized(left)
-    n_left = left.count()
-    right, rf = _arrow_materialized(right)
-    cols = [n for n in rf.names if n not in right_on] if cols is None else cols
-    extra = [rf.field(c) for c in cols]
-    out_schema = pa.schema(list(left_fields) + extra)
-    if n_left and right.count():
-        carried = [pa.field(f.name, _union_type(f.type)) for f in out_schema]
-        union = pa.schema(carried + [pa.field("__right", pa.bool_())])
-        renames = dict(zip(right_on, on)) | {c: c for c in cols}
-        how = join_type.replace("_", " ")           # acero's spelling
-
-        def tag(is_right: bool):
-            def fn(b: pa.Table) -> pa.Table:
-                if is_right:
-                    b = b.select(list(renames)).rename_columns(
-                        list(renames.values()))
-                return _conform(b.append_column(
-                    "__right", pa.array(np.full(b.num_rows, is_right))), union)
-            return fn
-
-        def merge(b: pa.Table) -> pa.Table:
-            is_right = b["__right"]
-            lt, rt = b.filter(pc.invert(is_right)), b.filter(is_right)
-            hits = _matches(lt, rt, list(on), how)
-            arrays = [lt[f.name].take(hits["__l"]).cast(f.type)
-                      for f in left_fields] \
-                + [rt[f.name].take(hits["__r"]).cast(f.type) for f in extra]
-            return pa.Table.from_arrays(arrays, schema=out_schema)
-
-        return keyed_map([(left, tag(False)), (right, tag(True))], list(on),
-                         merge)
-    if n_left and join_type in ("left_outer", "left_anti"):
-        def null_fill(batch: pa.Table) -> pa.Table:
-            for f in extra:
-                batch = batch.append_column(f, pa.nulls(batch.num_rows, f.type))
-            return batch
-        return left.map_batches(null_fill, batch_format="pyarrow",
-                                batch_size=None)
-    return rd.from_arrow(out_schema.empty_table())
+def _merged(lt: pa.Table, rt: pa.Table, on: list[str], how: str,
+            left_fields: list[pa.Field], extra: list[pa.Field]) -> pa.Table:
+    """``join``'s block kernel: the ``left_fields`` of ``lt``'s rows, then
+    the ``extra`` columns of their ``rt`` matches (``_matches``, acero's
+    ``how``), gathered by position and cast to their fields' types."""
+    hits = _matches(lt, rt, on, how)
+    return pa.Table.from_arrays(
+        [lt[f.name].take(hits["__l"]).cast(f.type) for f in left_fields]
+        + [rt[f.name].take(hits["__r"]).cast(f.type) for f in extra],
+        schema=pa.schema(left_fields + extra))
 
 
 def _collect(ds) -> pa.Table:

@@ -324,7 +324,7 @@ def bucket_pairs(postings, emit, *, key: str, max_rows: int | None = None):
       fan-out entirely;
     - scale: ONE keyed exchange (``joins.keyed_map``) co-locates every
       bucket, ``emit`` runs per block, and ``grouped_agg`` counts pairs
-      over the materialized emitted rows.
+      (its per-block partials run in the exchange's reading task).
 
     The distinct is exact on the id values (no pair hash, so no collision
     can drop a pair), and the output is materialized so its block count is
@@ -353,7 +353,7 @@ def bucket_pairs(postings, emit, *, key: str, max_rows: int | None = None):
         return rd.from_arrow([out.slice(i, chunk)
                               for i in range(0, max(out.num_rows, 1), chunk)])
 
-    emitted = keyed_map(postings, [key], canonical).materialize()
+    emitted = keyed_map(postings, [key], canonical)
     return grouped_agg(emitted, ["left_id", "right_id"],
                        [("left_id", "count", "n")]).materialize()
 

@@ -32,15 +32,15 @@ def group_sample(ds, key: str, k: int, *, exclude_min: int = 0,
     arrow filter, and the k-smallest-rank draw per group is the per-group
     partial top-k (stages/topk.topk_per_group) — each of them a keyed
     exchange only when what it holds does not fit one task
-    (``joins.fits_one_task``)."""
+    (``joins.one_place``)."""
     import pyarrow as pa
     import pyarrow.compute as pc
     from .agg import grouped_agg
-    from .joins import attach_by_key
+    from .joins import join
     from .topk import topk_per_group
 
     sizes = grouped_agg(ds, [key], [(id_col, "count", "_gsz")])
-    gated = attach_by_key(ds, sizes, [key])
+    gated = join(ds, sizes, "inner", [key])
 
     def gate_and_rank(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(b["_gsz"], pa.scalar(exclude_min)),

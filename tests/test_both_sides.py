@@ -1,8 +1,9 @@
 """Every dual-path stage gives the same answer on both sides of the one
-size rule (``joins.fits_one_task``): its one-place side (driver collect,
+size rule (``joins.one_place``): its one-place side (driver collect,
 such as a keyed reduction's partials, or broadcast probe) by default, and
-its keyed-exchange side under ``joins.exchanges_only()``.  A spy on
-``joins.keyed_map`` checks that each run took the side it should."""
+its keyed-exchange side under ``joins.exchanges_only()``, with the same
+rows and column types.  A spy on ``joins.keyed_map`` checks that each run
+took the side it should."""
 
 import numpy as np
 import pandas as pd
@@ -125,20 +126,17 @@ def _ann():
                                    bits=6), _PAIR
 
 
-_LEFT = pa.table({"k": pa.array([1, 2, 3, 4, 5, 6, 2], pa.int64()),
-                  "v": pa.array(list("abcdefg"))})
-_RIGHT = pa.table({"k": pa.array([2, 4, 6, 8], pa.int64()),
-                   "w": pa.array([0.5, 1.5, 2.5, 3.5])})
+# a null key on each side matches nothing; an unmatched int64 payload
+# stays int64
+_LEFT = pa.table({"k": pa.array([1, 2, 3, 4, 5, 6, 2, None], pa.int64()),
+                  "v": pa.array(list("abcdefgh"))})
+_RIGHT = pa.table({"k": pa.array([2, 4, None, 6, 8], pa.int64()),
+                   "w": pa.array([5, 15, 99, 25, 35], pa.int64())})
 
 
-def _filter_by_keys():
-    return joins.filter_by_keys(rd.from_arrow(_LEFT), rd.from_arrow(_RIGHT),
-                                "k", keep=False), ["v"]
-
-
-def _attach_by_key():
-    return joins.attach_by_key(rd.from_arrow(_LEFT), rd.from_arrow(_RIGHT),
-                               ["k"], how="left"), ["v"]
+def _join(how):
+    return lambda: (joins.join(rd.from_arrow(_LEFT), rd.from_arrow(_RIGHT),
+                               how, ["k"]), ["v"])
 
 
 def _hash_join_pairs():
@@ -200,8 +198,9 @@ CASES = {
     "window": _window, "sessionize": _sessionize, "asof": _asof,
     "ngram": _ngram, "substring_pairs": _substring_pairs,
     "substring_lcs": _substring_lcs, "simhash": _simhash, "lsh": _lsh,
-    "ann": _ann, "filter_by_keys": _filter_by_keys,
-    "attach_by_key": _attach_by_key, "hash_join_pairs": _hash_join_pairs,
+    "ann": _ann, "hash_join_pairs": _hash_join_pairs,
+    **{f"join_{how}": _join(how) for how in
+       ("inner", "left_outer", "left_semi", "left_anti")},
     "grouped_agg": _grouped_agg, "topk_per_group": _topk_per_group,
     "exact_dup_edges": _exact_dup_edges,
     "cluster_assignments": _cluster_assignments,
@@ -221,16 +220,20 @@ def test_stage_same_on_both_sides(case, monkeypatch):
 
     def run():
         ds, keys = CASES[case]()
+        ds = ds.materialize()
         df = ds.to_pandas()
         for c in df.columns:        # list cells compare as tuples
             if df[c].map(lambda x: isinstance(x, np.ndarray)).any():
                 df[c] = df[c].map(tuple)
-        return df.sort_values(keys).reset_index(drop=True)
+        s = ds.schema()
+        return (df.sort_values(keys).reset_index(drop=True),
+                dict(zip(s.names, s.types)))
 
-    one_place = run()
+    one_place, one_place_types = run()
     assert calls == []
     with joins.exchanges_only():
-        keyed = run()
+        keyed, keyed_types = run()
     assert calls
     assert len(one_place)
     pd.testing.assert_frame_equal(one_place, keyed)
+    assert one_place_types == keyed_types

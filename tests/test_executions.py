@@ -82,9 +82,9 @@ def _docs(texts):
         "text": pa.array(texts)}))
 
 
-def test_text_scale_path_runs_eight_executions(executions, dags):
+def test_text_scale_path_runs_seven_executions(executions, dags):
     """Text on the scale caps: sigtable, exact-dup exchange, survivors +
-    LSH stars, LSH exchange, the pair count's partials (merged on the
+    LSH stars, LSH exchange + the pair count's partials (merged on the
     driver, so no ``Repartition`` runs), verify's two keyed passes +
     verify, one star-contraction round, and the final attach -- none only
     projects.  Verify reads the pairs and the signatures once each: pass
@@ -99,7 +99,7 @@ def test_text_scale_path_runs_eight_executions(executions, dags):
     assert got.to_dict() == {"0": "0", "1": "1", "2": "2", "3": "0",
                              "4": "1"}
     assert [r for r in executions if _no_work(r)] == []
-    assert len(executions) == 8, executions
+    assert len(executions) == 7, executions
     assert not [n for d in dags for n in _nodes(d)
                 if n[0].startswith("Repartition")], dags
 
@@ -116,7 +116,7 @@ def test_text_scale_path_runs_eight_executions(executions, dags):
 
 
 def test_partitioned_join_tags_and_places_each_side_in_one_map(dags):
-    """``attach_by_key`` and ``filter_by_keys`` on their partitioned side:
+    """``join`` (inner and left anti) on its keyed side:
     each input is tagged and placed in the one map that reads it, and no
     map runs between the ``Union`` and the ``Sort``."""
     import ray.data as rd
@@ -126,9 +126,8 @@ def test_partitioned_join_tags_and_places_each_side_in_one_map(dags):
     right = rd.from_arrow(
         [pa.table({"k": [2, 3, 4], "w": [1.0, 2.0, 3.0]})] * 3)
     with joins.exchanges_only():
-        attached = joins.attach_by_key(left, right, ["k"]).to_pandas()
-        dropped = joins.filter_by_keys(left, right, "k", keep=False)
-        dropped = dropped.to_pandas()
+        attached = joins.join(left, right, "inner", ["k"]).to_pandas()
+        dropped = joins.join(left, right, "left_anti", ["k"]).to_pandas()
     assert sorted(attached["k"]) == [2] * 6 + [3] * 6
     assert sorted(dropped["k"]) == [1, 1]
     inputs = [i for d in dags for i in _exchange_inputs(d)]

@@ -17,7 +17,7 @@ def _rd():
 def test_exact_dedup_min_id_wins_and_edges():
     import ray.data as rd
     from courlan_ray.stages.exact_dedup import exact_dup_edges
-    from courlan_ray.stages.joins import filter_by_keys
+    from courlan_ray.stages.joins import join
     from courlan_ray.functions.imagecodec import encode_image
     img = encode_image(np.zeros((8, 8, 3), dtype=np.uint8), "png")
     rows = [
@@ -28,8 +28,7 @@ def test_exact_dedup_min_id_wins_and_edges():
     ds = rd.from_pandas(pd.DataFrame(rows))
     cfg = DedupConfig()
     edges = exact_dup_edges(ds, cfg)
-    survivors = filter_by_keys(ds, edges, "image_id", keep=False,
-                               keys_col="right_id")
+    survivors = join(ds, edges, "left_anti", ["image_id"], ["right_id"])
     s = sorted(r["image_id"] for r in survivors.select_columns(["image_id"]).take_all())
     e = edges.to_pandas()
     assert s == ["a", "c"]
@@ -596,11 +595,10 @@ _JOIN_RIGHT = pa.table({"k": pa.array([2, 4, 6, 8], pa.int64()),
 @pytest.mark.parametrize("op", ["attach_inner", "attach_left",
                                 "filter_keep", "filter_anti"])
 def test_partitioned_joins_hold_on_empty_blocks(layout, op):
-    """The partitioned ``Dataset.join`` paths of attach_by_key and
-    filter_by_keys give the pandas answer when a side's first block is
-    empty or a side has no rows at all."""
-    from courlan_ray.stages.joins import (_collect, attach_by_key,
-                                          exchanges_only, filter_by_keys)
+    """The keyed side of ``join`` (inner, left outer, semi and anti)
+    gives the pandas answer when a side's first block is empty or a side
+    has no rows at all."""
+    from courlan_ray.stages.joins import _collect, exchanges_only, join
     empty_l, empty_r = _JOIN_LEFT.slice(0, 0), _JOIN_RIGHT.slice(0, 0)
     left_blocks = {"left_first_empty": [empty_l, _JOIN_LEFT],
                    "right_first_empty": [_JOIN_LEFT],
@@ -615,11 +613,13 @@ def test_partitioned_joins_hold_on_empty_blocks(layout, op):
     with exchanges_only():
         if op.startswith("attach"):
             how = op.split("_")[1]
-            got = attach_by_key(left, right, ["k"], how=how)
+            got = join(left, right, "inner" if how == "inner" else
+                       "left_outer", ["k"])
             want = lp.merge(rp, on="k", how=how)
         else:
             keep = op == "filter_keep"
-            got = filter_by_keys(left, right, "k", keep=keep)
+            got = join(left, right, "left_semi" if keep else "left_anti",
+                       ["k"])
             want = lp[lp["k"].isin(rp["k"]) == keep]
     got = _collect(got).to_pandas()
     assert len(got) == len(want)
@@ -685,12 +685,12 @@ _MERGE_RIGHT = pd.DataFrame({
 
 @pytest.mark.parametrize("how", ["inner", "left_outer"])
 def test_sort_merge_join_matches_pandas_merge(how):
-    """``_join`` gives ``pandas.merge``'s rows: left columns then the
-    right non-key columns, a repeated right key once per copy, a hot key,
-    fixed-size and variable list payloads kept as typed, and a null key
-    matching nothing."""
+    """``join`` gives ``pandas.merge``'s rows on its broadcast and its
+    keyed side: left columns then the right non-key columns, a repeated
+    right key once per copy, a hot key, fixed-size and variable list
+    payloads kept as typed, and a null key matching nothing."""
     import ray
-    from courlan_ray.stages.joins import _join
+    from courlan_ray.stages.joins import exchanges_only, join
     left = pa.table({"k": pa.array(_MERGE_LEFT["k"], pa.int64(),
                                    from_pandas=True),
                      "a": pa.array(_MERGE_LEFT["a"])})
@@ -702,15 +702,22 @@ def test_sort_merge_join_matches_pandas_merge(how):
                                       from_pandas=True),
                       "w": pa.array(_MERGE_RIGHT["w"]),
                       "fixed": fixed, "var": var})
-    out = _join(_rd().from_arrow([left.slice(0, 4), left.slice(4)]),
-                _rd().from_arrow([right.slice(0, 3), right.slice(3)]),
-                how, on=("k",), right_on=("key",)).materialize()
-    got = pa.concat_tables(
-        t for t in ray.get(out.to_arrow_refs()) if t.num_rows)
-    assert got.schema == pa.schema(
-        [left.schema.field("k"), left.schema.field("a"),
-         right.schema.field("w"), right.schema.field("fixed"),
-         right.schema.field("var")])
+
+    def joined():
+        out = join(_rd().from_arrow([left.slice(0, 4), left.slice(4)]),
+                   _rd().from_arrow([right.slice(0, 3), right.slice(3)]),
+                   how, ["k"], ["key"]).materialize()
+        return pa.concat_tables(
+            t for t in ray.get(out.to_arrow_refs()) if t.num_rows)
+
+    sides = [joined()]
+    with exchanges_only():
+        sides.append(joined())
+    for got in sides:
+        assert got.schema == pa.schema(
+            [left.schema.field("k"), left.schema.field("a"),
+             right.schema.field("w"), right.schema.field("fixed"),
+             right.schema.field("var")])
 
     rp = right.to_pandas().rename(columns={"key": "k"})
     rp["fixed"] = rp["fixed"].map(list)
@@ -728,10 +735,11 @@ def test_sort_merge_join_matches_pandas_merge(how):
                         [int(x) for x in r.var])
                        for r in df.itertuples()), key=repr)
 
-    g = got.to_pandas()
-    for c in ("fixed", "var"):
-        g[c] = g[c].map(lambda v: list(v) if v is not None else None)
-    assert rows(g) == rows(want)
+    for got in sides:
+        g = got.to_pandas()
+        for c in ("fixed", "var"):
+            g[c] = g[c].map(lambda v: list(v) if v is not None else None)
+        assert rows(g) == rows(want)
     assert len(want) == (9 if how == "inner" else 12)
 
 
