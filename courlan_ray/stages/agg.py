@@ -60,7 +60,9 @@ def reduce_by_key(ds, keys: list[str], first, merge):
     keyed exchange), so ``merge`` sees each key's partials exactly once
     and may finish the result.  Ray calls no kernel on a zero-row input,
     so partials without a schema are replaced by ``merge`` of ``first`` of
-    an empty batch of the input's columns: the typed empty result."""
+    an empty batch of the input's columns: the typed empty result.  Those
+    columns come from ``ds.schema()``, which runs a lazy ``ds`` once more,
+    an exchange in it included."""
     import ray.data as rd
     from .joins import kernel_by_key
 

@@ -14,7 +14,7 @@ Scale shape: the keyed exchange moves ONLY the narrow
 never crosses a shuffle (SURVEY.md §7.4).  Keeper = min image_id per group
 (order-free determinism, unlike the reference's arrival-order deque
 first-wins, urlstore.py:248-258).  The pipeline recovers survivor rows
-with an anti-join on the (small) dropped-id set (``joins.filter_by_keys``).
+with a left anti ``joins.join`` on the (small) dropped-id set.
 """
 
 from __future__ import annotations

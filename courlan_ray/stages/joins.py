@@ -217,16 +217,16 @@ def kernel_by_key(ds, keys: list[str], kernel, max_rows: int | None = None,
 
 
 def join(left, right, how: str, on: list[str],
-         right_on: list[str] | None = None, cols: list[str] | None = None):
+         right_on: list[str] | None = None):
     """The equi-join (``how``: ``inner``, ``left_outer``, ``left_semi`` or
     ``left_anti``) of ``left`` and ``right`` on the key columns ``on`` /
-    ``right_on`` (default ``on``): left columns, then the right columns
-    ``cols`` (default: all non-key; none for a semi or anti join).  A
-    repeated right key gives one row per copy, a null key matches nothing,
-    and right keys compare as the left keys' types.
+    ``right_on`` (default ``on``): left columns, then every non-key right
+    column (none for a semi or anti join).  A repeated right key gives one
+    row per copy, a null key matches nothing, and right keys compare as
+    the left keys' types.
 
     The materialized ``right`` picks the side (``one_place`` of its keys
-    and ``cols``).  Broadcast: that table, its keys renamed to ``on``, is
+    and the right columns it carries).  Broadcast: that table, its keys renamed to ``on``, is
     ``ray.put`` once and joined by a map over the lazy ``left`` (which
     fuses into it).  Keyed: both sides are tagged (the right one projected
     and renamed there) under one schema (the other side's columns as
@@ -239,10 +239,8 @@ def join(left, right, how: str, on: list[str],
     on = list(on)
     right_on = list(right_on or on)
     right, rf = _arrow_materialized(right)
-    if how in ("left_semi", "left_anti"):
-        cols = []
-    elif cols is None:
-        cols = [n for n in rf.names if n not in right_on]
+    cols = ([] if how in ("left_semi", "left_anti")
+            else [n for n in rf.names if n not in right_on])
     extra = [rf.field(c) for c in cols]
     acero = how.replace("_", " ")
     small = one_place(right, right_on + cols)

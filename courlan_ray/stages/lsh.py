@@ -323,39 +323,47 @@ def bucket_pairs(postings, emit, *, key: str, max_rows: int | None = None):
       own repartition — tiny tables stay one block and verify skips the
       fan-out entirely;
     - scale: ONE keyed exchange (``joins.keyed_map``) co-locates every
-      bucket, ``emit`` runs per block, and ``grouped_agg`` counts pairs
-      (its per-block partials run in the exchange's reading task).
+      bucket, and ``emit`` and the same pair count run per block in the
+      exchange's reading task; ``joins.kernel_by_key`` sums each pair's
+      block counts.  A block whose buckets name no pair still gives a
+      typed count table, so an input with no pair runs no exchange twice
+      to learn its columns.
 
     The distinct is exact on the id values (no pair hash, so no collision
     can drop a pair), and the output is materialized so its block count is
     known downstream."""
     import ray.data as rd
-    from .agg import grouped_agg
-    from .joins import cluster_cpus, keyed_map, one_place
+    from .joins import cluster_cpus, kernel_by_key, keyed_map, one_place
 
-    def canonical(tbl: pa.Table) -> pa.Table:
+    pair = ["left_id", "right_id"]
+
+    def counted(tbl: pa.Table) -> pa.Table:
         pairs = emit(tbl)
         lo = pc.min_element_wise(pairs["left_id"], pairs["right_id"])
         hi = pc.max_element_wise(pairs["left_id"], pairs["right_id"])
         keep = pc.not_equal(lo, hi)
-        return pa.table({"left_id": lo.filter(keep),
-                         "right_id": hi.filter(keep)})
+        c = pa.table({"left_id": lo.filter(keep), "right_id": hi.filter(keep)}
+                     ).group_by(pair).aggregate([([], "count_all")])
+        return pa.table({"left_id": c["left_id"], "right_id": c["right_id"],
+                         "n": c["count_all"]})
+
+    def summed(b: pa.Table) -> pa.Table:
+        c = b.group_by(pair).aggregate([("n", "sum")])
+        return pa.table({"left_id": c["left_id"], "right_id": c["right_id"],
+                         "n": c["n_sum"]})
 
     postings = postings.materialize()
     tbl = one_place(postings, max_rows=max_rows)
-    if tbl is not None:
-        counted = canonical(tbl).group_by(
-            ["left_id", "right_id"]).aggregate([([], "count_all")])
-        out = pa.table({"left_id": counted["left_id"],
-                        "right_id": counted["right_id"],
-                        "n": counted["count_all"]})
-        chunk = int(max(8192, -(-out.num_rows // (2 * cluster_cpus()))))
-        return rd.from_arrow([out.slice(i, chunk)
-                              for i in range(0, max(out.num_rows, 1), chunk)])
-
-    emitted = keyed_map(postings, [key], canonical)
-    return grouped_agg(emitted, ["left_id", "right_id"],
-                       [("left_id", "count", "n")]).materialize()
+    if (tbl is None and not postings.count()
+            and (schema := postings.schema()) is not None):
+        tbl = schema.base_schema.empty_table()      # no posting: typed, here
+    if tbl is None:
+        partials = keyed_map(postings, [key], counted).materialize()
+        return kernel_by_key(partials, pair, summed).materialize()
+    out = counted(tbl)
+    chunk = int(max(8192, -(-out.num_rows // (2 * cluster_cpus()))))
+    return rd.from_arrow([out.slice(i, chunk)
+                          for i in range(0, max(out.num_rows, 1), chunk)])
 
 
 def candidate_pairs(sig_ds, cfg: DedupConfig):

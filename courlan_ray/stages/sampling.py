@@ -32,7 +32,8 @@ def group_sample(ds, key: str, k: int, *, exclude_min: int = 0,
     arrow filter, and the k-smallest-rank draw per group is the per-group
     partial top-k (stages/topk.topk_per_group) — each of them a keyed
     exchange only when what it holds does not fit one task
-    (``joins.one_place``)."""
+    (``joins.one_place``).  A row whose ``key`` is null is in no group:
+    the size join matches no null key, so such rows are never sampled."""
     import pyarrow as pa
     import pyarrow.compute as pc
     from .agg import grouped_agg

@@ -221,3 +221,15 @@ def test_only_exact_edges(cfg, exchanges):
                          "cluster_size": [2, 1, 2],
                          "is_representative": [True, True, False]})
     pd.testing.assert_frame_equal(clusters, want, check_dtype=False)
+
+
+def test_no_pair_scale_path_runs_each_exchange_once(dags):
+    """Exact duplicates and no candidate pair on the scale caps: the LSH
+    exchange's blocks name no pair, yet the pair count reads its columns
+    from them, so no schema fetch runs an exchange a second time (the
+    exact-dup and LSH exchanges and four star-contraction ones)."""
+    clusters, pairs = _assign(_EXACT, DedupConfig(**CAPS))
+    assert pairs.empty and len(clusters) == len(_EXACT)
+    assert not [d for d in dags if d[0].startswith("limit")
+                and any(n[0] == "Sort" for n in _nodes(d))], dags
+    assert sum(n[0] == "Sort" for d in dags for n in _nodes(d)) == 6, dags
