@@ -335,7 +335,7 @@ def winnowing_fingerprints(texts, k: int, window: int, seed: int = 0,
 
 def est_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> np.ndarray:
     """Estimated Jaccard = fraction of agreeing MinHash permutations.
-    Inputs: (npairs, num_perm) uint64."""
+    Inputs: (npairs, num_perm) integer arrays."""
     return (sig_a == sig_b).mean(axis=1).astype(np.float64)
 
 

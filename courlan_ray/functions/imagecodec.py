@@ -13,9 +13,13 @@ dedup pipeline:
 plug in on a production cluster; everything Ray-side (schemas, batch sizes,
 stage functions, output layout) is identical either way.
 
-The perceptual hash is the classic DCT pHash: area-resample to 32x32 gray,
-2D DCT-II, top-left 8x8 coefficients (minus DC) thresholded at their median
--> 64 bits.  Pure numpy, deterministic.
+Every image stage decodes through ``decoded`` (one decoded array alive at
+a time) and hashes through ``pixel_hashes``.  The perceptual hash is the
+classic DCT pHash: area-resample to a 32x32 float32 gray
+(``gray32_area_f32``, the one resampler), 2D DCT-II, top-left 8x8
+coefficients (minus DC) thresholded at their median -> 64 bits; the pixel
+SimHash thresholds the 8x8 block means of the same gray.  Pure numpy,
+deterministic.
 """
 
 from __future__ import annotations
@@ -101,45 +105,37 @@ def _dct_matrix(n: int) -> np.ndarray:
     return m
 
 
-_DCT32 = _dct_matrix(32)
+_DCT32 = _dct_matrix(32).astype(np.float32)
 
 
-def _resize_gray_32(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Area-style resample of an (h, w[, 3]) image to 32x32 float gray.
-
-    ``dtype=np.float32`` halves the memory traffic of the gray conversion
-    and the integral image — the hot path of the signature stage is
-    memory-bandwidth-bound at full node parallelism, so the batched
-    pipeline uses float32 (identical determinism; float64 stays the
-    default for the public single-image ``phash64`` API)."""
-    if arr.ndim == 3:
-        gray = arr.astype(dtype) @ np.array([0.299, 0.587, 0.114], dtype=dtype)
-    else:
-        gray = arr.astype(dtype)
-    h, w = gray.shape
-    ys = (np.arange(32) * h) // 32
-    xs = (np.arange(32) * w) // 32
-    ye = np.maximum(((np.arange(32) + 1) * h) // 32, ys + 1)
-    xe = np.maximum(((np.arange(32) + 1) * w) // 32, xs + 1)
-    # integral image -> O(1) area means
-    ii = np.zeros((h + 1, w + 1), dtype=dtype)
-    np.cumsum(gray, axis=0, out=gray)
-    np.cumsum(gray, axis=1, out=ii[1:, 1:])
-    area = (ii[ye[:, None], xe[None, :]] - ii[ys[:, None], xe[None, :]]
-            - ii[ye[:, None], xs[None, :]] + ii[ys[:, None], xs[None, :]])
-    cnt = (ye - ys)[:, None] * (xe - xs)[None, :]
-    return area / cnt
+def decoded(payloads, fn) -> tuple[list, np.ndarray]:
+    """``fn`` of each decodable payload's (h, w, 3) array, in payload
+    order, and the ``ok`` mask of the payloads that decoded.  An
+    undecodable payload (``CodecError``) gets no result.  Each decoded
+    array lives only for its own call, so a batch of large images never
+    holds more than one image's pixels."""
+    out = []
+    ok = np.zeros(len(payloads), dtype=bool)
+    for i, p in enumerate(payloads):
+        try:
+            arr = decode_image(p)
+        except CodecError:
+            continue
+        out.append(fn(arr))
+        ok[i] = True
+        del arr                 # freed before the next payload decodes
+    return out, ok
 
 
 def gray32_area_f32(arr: np.ndarray) -> np.ndarray:
-    """Fast 32x32 float32 gray area-resample for the batched signature path.
+    """Area-resample of an (h, w[, 3]) image to a 32x32 float32 gray.
 
     Two ``np.add.reduceat`` passes over the raw uint8 pixels (row blocks,
     then column blocks) and one tiny 32x32x3 gray matmul — ~10x less
     memory traffic than grayscale-then-integral-image, which matters
     because the signature stage is DRAM-bandwidth-bound at full node
-    parallelism.  Same block boundaries as ``_resize_gray_32`` (float32
-    rounding differs in the last bits; hash thresholds are robust to it).
+    parallelism.  Block i spans rows [i*h//32, (i+1)*h//32) (at least one
+    pixel), likewise for columns.
     """
     h, w = arr.shape[:2]
     w32 = np.array([0.299, 0.587, 0.114], dtype=np.float32)
@@ -163,32 +159,36 @@ def gray32_area_f32(arr: np.ndarray) -> np.ndarray:
     return t2 / cnt
 
 
+def block_means(grays) -> np.ndarray:
+    """32x32 float32 grays -> (m, 64) 8x8 area means (4x4 pixels each)."""
+    return np.asarray(grays, dtype=np.float32).reshape(-1, 8, 4, 8, 4) \
+        .mean(axis=(2, 4)).reshape(-1, 64)
+
+
+def _pack_bits64(bits: np.ndarray) -> np.ndarray:
+    """(m, 64) bool/uint8 -> (m,) uint64, little bit order."""
+    return np.packbits(bits.astype(np.uint8), axis=1,
+                       bitorder="little").view("<u8").ravel()
+
+
+def pixel_hashes(grays) -> tuple[np.ndarray, np.ndarray]:
+    """32x32 float32 grays -> (pHash, pixel SimHash), each (m,) uint64.
+
+    pHash: one (m,32,32) DCT matmul chain for the whole stack, top-left
+    8x8 coefficients minus DC thresholded at their median.  Pixel SimHash:
+    the 8x8 block means thresholded at their mean."""
+    G = np.asarray(grays, dtype=np.float32).reshape(-1, 32, 32)
+    m = len(G)
+    C = _DCT32[None] @ G @ _DCT32.T[None]                 # batched 2-D DCT
+    vals = C[:, :8, :8].reshape(m, 64)[:, 1:]             # drop DC
+    med = np.median(vals, axis=1, keepdims=True)
+    bits = np.zeros((m, 64), dtype=np.uint8)
+    bits[:, 1:] = vals > med
+    feats = block_means(G)
+    return (_pack_bits64(bits),
+            _pack_bits64(feats > feats.mean(axis=1, keepdims=True)))
+
+
 def phash64(arr: np.ndarray) -> int:
-    """64-bit DCT perceptual hash of an image array."""
-    g = _resize_gray_32(arr)
-    coef = _DCT32 @ g @ _DCT32.T
-    block = coef[:8, :8].copy().ravel()
-    vals = block[1:]                      # drop DC
-    med = np.median(vals)
-    bits = np.zeros(64, dtype=np.uint8)
-    bits[1:] = (vals > med).astype(np.uint8)
-    return int(np.packbits(bits, bitorder="little").view("<u8")[0])
-
-
-def phash64_batch(payloads) -> tuple[np.ndarray, np.ndarray]:
-    """Decode + phash a batch of payloads.
-
-    Returns (phash uint64 array, ok bool array); undecodable rows get
-    phash 0 and ok=False instead of raising (gate semantics mirror the
-    reference's check_url None-on-failure, /root/reference/courlan/core.py:124-127).
-    """
-    n = len(payloads)
-    out = np.zeros(n, dtype=np.uint64)
-    ok = np.zeros(n, dtype=bool)
-    for i in range(n):
-        try:
-            out[i] = phash64(decode_image(payloads[i]))
-            ok[i] = True
-        except CodecError:
-            pass
-    return out, ok
+    """64-bit DCT perceptual hash of one image array."""
+    return int(pixel_hashes(gray32_area_f32(arr))[0][0])

@@ -11,10 +11,12 @@ independently-decodable frames, each encoded with the in-repo image codec
 
 Because frames are independent, frame sampling decodes ONLY the sampled
 frames (offset arithmetic on the header — the property a production
-ffmpeg/pyav stage gets from keyframe seeking).  A production cluster swaps
-``decode_frame`` for a real codec inside the same stage
-(stages/multimodal.video_frames_batch); the sampling/fingerprint math is
-container-independent.
+ffmpeg/pyav stage gets from keyframe seeking).  The video stages
+(stages/multimodal._sampled_frames) slice the sampled frames' payloads
+with ``video_info``'s offsets and decode them through the image kernel
+(``imagecodec.decoded``), as ``decode_frame`` does for one frame; a
+production cluster swaps in a real codec there.  The
+sampling/fingerprint math is container-independent.
 """
 
 from __future__ import annotations

@@ -1053,25 +1053,22 @@ _KERNEL_FP: list[str] = []
 
 
 def _kernel_fingerprint() -> str:
-    """Hash of the signature-producing kernel sources + config defaults.
-    Keys the oracle-side parquet cache so a kernel or DedupConfig change
-    can never feed a STALE signature table to the pair-verify oracles
-    (the sibling synth caches key on (n, seed); these tables' content is a
-    pure function of the kernel code, so the code itself is the key)."""
+    """Hash of the source of every module of the package (the DedupConfig
+    defaults included).  Keys the oracle-side parquet cache so an edit to
+    any kernel a signature table runs through can never feed a STALE
+    table to the pair-verify oracles, and no module list has to follow
+    the imports (the sibling synth caches key on (n, seed); these tables'
+    content is a pure function of the code, so the code itself is the
+    key)."""
     if not _KERNEL_FP:
         import hashlib
-        import inspect
+        from pathlib import Path
 
-        import sys
-
-        from .. import config as _cfg
-        from ..functions import audiocodec, hashing, videocodec
-        from ..stages import multimodal
+        root = Path(__file__).resolve().parents[1]
         h = hashlib.sha256()
-        mods = (multimodal, audiocodec, videocodec, hashing, _cfg,
-                sys.modules[__name__])   # extras itself: _doc_simhash_i64
-        for mod in mods:
-            h.update(inspect.getsource(mod).encode())
+        for path in sorted(root.rglob("*.py")):
+            h.update(path.relative_to(root).as_posix().encode())
+            h.update(path.read_bytes())
         _KERNEL_FP.append(h.hexdigest()[:12])
     return _KERNEL_FP[0]
 

@@ -31,30 +31,20 @@ _AUDIO_FEAT_DIM = 16
 def decode_stats_batch(batch: pa.Table) -> pa.Table:
     """bytes -> (decode_ok, width, height, mean_luma, contrast).
     Pixels are consumed in-stage; only scalar features are emitted."""
-    payloads = batch["bytes"].to_pylist()
-    n = len(payloads)
-    ok = np.zeros(n, dtype=bool)
-    w = np.zeros(n, dtype=np.int32)
-    h = np.zeros(n, dtype=np.int32)
-    luma = np.zeros(n, dtype=np.float64)
-    contrast = np.zeros(n, dtype=np.float64)
-    for i, p in enumerate(payloads):
-        try:
-            arr = codec.decode_image(p)
-        except codec.CodecError:
-            continue
-        ok[i] = True
-        h[i], w[i] = arr.shape[:2]
+    def stats(arr: np.ndarray) -> tuple:
         g = arr.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
-        luma[i] = g.mean()
-        contrast[i] = g.std()
+        return arr.shape[0], arr.shape[1], g.mean(), g.std()
+
+    st, ok = codec.decoded(batch["bytes"].to_pylist(), stats)
+    cols = np.zeros((len(ok), 4))
+    cols[ok] = np.reshape(st, (-1, 4))
     return pa.table({
         "image_id": batch["image_id"],
         "decode_ok": pa.array(ok),
-        "width": pa.array(w, pa.int32()),
-        "height": pa.array(h, pa.int32()),
-        "mean_luma": pa.array(np.round(luma, 3)),
-        "contrast": pa.array(np.round(contrast, 3)),
+        "width": pa.array(cols[:, 1].astype(np.int32), pa.int32()),
+        "height": pa.array(cols[:, 0].astype(np.int32), pa.int32()),
+        "mean_luma": pa.array(np.round(cols[:, 2], 3)),
+        "contrast": pa.array(np.round(cols[:, 3], 3)),
     })
 
 
@@ -64,17 +54,15 @@ def resize_batch(batch: pa.Table, target: int = 32,
     nearest-row/column sampling.  Output schema mirrors the input_hint
     shape."""
     t = target
-    out, ok = [], []
-    for p in batch["bytes"].to_pylist():
-        try:
-            arr = codec.decode_image(p)
-            h, w = arr.shape[:2]
-            arr = arr[(np.arange(t) * h) // t][:, (np.arange(t) * w) // t]
-            out.append(codec.encode_image(arr, out_fmt))
-            ok.append(True)
-        except codec.CodecError:
-            out.append(b"")
-            ok.append(False)
+
+    def thumb(arr: np.ndarray) -> bytes:
+        h, w = arr.shape[:2]
+        arr = arr[(np.arange(t) * h) // t][:, (np.arange(t) * w) // t]
+        return codec.encode_image(arr, out_fmt)
+
+    thumbs, ok = codec.decoded(batch["bytes"].to_pylist(), thumb)
+    out = np.full(len(ok), b"", dtype=object)
+    out[ok] = thumbs
     return pa.table({
         "image_id": batch["image_id"],
         "bytes": pa.array(out, pa.binary()),
@@ -86,23 +74,17 @@ def resize_batch(batch: pa.Table, target: int = 32,
 
 
 def embed_batch(batch: pa.Table, dim: int = 64) -> pa.Table:
-    """bytes -> embedding list<float> (64-dim block-luma features).
+    """bytes -> embedding list<float> (the 64 8x8 block-mean luma features
+    of the image kernel's 32x32 gray, ``imagecodec.block_means``).
 
     STUB NOTE: a production cluster runs a vision model here (loaded once
     per worker, the one stage that would hold state); this environment
     uses the deterministic block-mean features so the plumbing (batch
     inference, fixed-size list output) is exercised end to end."""
-    from .signatures import _pixel_features
-    payloads = batch["bytes"].to_pylist()
-    feats = np.zeros((len(payloads), dim), dtype=np.float32)
-    ok = np.zeros(len(payloads), dtype=bool)
-    for i, p in enumerate(payloads):
-        try:
-            f = _pixel_features(codec.decode_image(p))
-            feats[i, :min(dim, f.shape[0])] = f[:dim]
-            ok[i] = True
-        except codec.CodecError:
-            pass
+    grays, ok = codec.decoded(batch["bytes"].to_pylist(),
+                              codec.gray32_area_f32)
+    feats = np.zeros((len(ok), dim), dtype=np.float32)
+    feats[ok, :min(dim, 64)] = codec.block_means(grays)[:, :dim]
     flat = pa.array(feats.ravel(), pa.float32())
     return pa.table({
         "image_id": batch["image_id"],
@@ -167,73 +149,77 @@ def audio_features_batch(batch: pa.Table) -> pa.Table:
     })
 
 
+def _sampled_frames(payloads: list, n_frames: int):
+    """Decode and hash the ``n_frames`` evenly-spaced sampled frames of
+    every FVID payload as one batch (functions/videocodec.py — offset
+    seek decodes ONLY the sampled frames).  Returns one entry per sampled
+    frame, in payload order: (payload row, frame_idx, decode_ok, (h, w),
+    pHash u64).  A payload whose container does not parse gets one
+    undecoded entry with frame_idx -1."""
+    from ..functions import videocodec as vcodec
+    rows, fidx, frames = [], [], []
+    for r, p in enumerate(payloads):
+        try:
+            n, _, offs = vcodec.video_info(p)
+        except vcodec.VideoCodecError:
+            rows.append(r)
+            fidx.append(-1)
+            frames.append(None)                 # decodes to nothing
+            continue
+        for i in vcodec.sample_indices(n, n_frames):
+            rows.append(r)
+            fidx.append(int(i))
+            frames.append(p[offs[i]:offs[i + 1]])
+    shaped, ok = codec.decoded(
+        frames, lambda a: (a.shape[:2], codec.gray32_area_f32(a)))
+    hw = np.zeros((len(ok), 2), dtype=np.int32)
+    hw[ok] = np.reshape([s for s, _ in shaped], (-1, 2))
+    phash = np.zeros(len(ok), dtype=np.uint64)
+    phash[ok] = codec.pixel_hashes([g for _, g in shaped])[0]
+    return np.array(rows, dtype=np.int64), fidx, ok, hw, phash
+
+
 def video_frames_batch(batch: pa.Table, n_frames: int = 3) -> pa.Table:
     """REAL video channel: sample ``n_frames`` evenly-spaced frames per
-    FVID payload (functions/videocodec.py — offset seek decodes ONLY the
-    sampled frames, the keyframe-seek property a production ffmpeg stage
-    has) and emit one row per sampled frame: (video_id, frame_idx,
-    decode_ok, w, h, frame_phash) — a genuine 1-row-in / k-rows-out
-    flat map.  Frames are consumed in-stage; only per-frame scalars
-    leave the stage.  A production cluster swaps the FVID parse for
-    ffmpeg/pyav here; sampling + phash are container-independent."""
-    from ..functions import videocodec as vcodec
-    vids, fidx, ok, ws, hs, ph = [], [], [], [], [], []
-    ids = batch["video_id"].to_pylist()
-    for vid, p in zip(ids, batch["bytes"].to_pylist()):
-        try:
-            n, _, _ = vcodec.video_info(p)
-            idxs = vcodec.sample_indices(n, n_frames)
-        except vcodec.VideoCodecError:
-            vids.append(vid); fidx.append(-1); ok.append(False)
-            ws.append(0); hs.append(0); ph.append(0)
-            continue
-        for i in idxs:
-            vids.append(vid)
-            fidx.append(int(i))
-            try:
-                fr = vcodec.decode_frame(p, int(i))
-            except vcodec.VideoCodecError:
-                ok.append(False); ws.append(0); hs.append(0); ph.append(0)
-                continue
-            ok.append(True)
-            hs.append(fr.shape[0]); ws.append(fr.shape[1])
-            ph.append(int(np.uint64(codec.phash64(fr)).view(np.int64)))
+    FVID payload (``_sampled_frames`` — the keyframe-seek property a
+    production ffmpeg stage has) and emit one row per sampled frame:
+    (video_id, frame_idx, decode_ok, w, h, frame_phash) — a genuine
+    1-row-in / k-rows-out flat map.  Frames are consumed in-stage; only
+    per-frame scalars leave the stage.  A production cluster swaps the
+    FVID parse for ffmpeg/pyav here; sampling + phash are
+    container-independent."""
+    rows, fidx, ok, hw, phash = _sampled_frames(batch["bytes"].to_pylist(),
+                                                n_frames)
     return pa.table({
-        "video_id": pa.array(vids, pa.string()),
+        "video_id": batch["video_id"].take(pa.array(rows)),
         "frame_idx": pa.array(fidx, pa.int32()),
         "decode_ok": pa.array(ok),
-        "w": pa.array(ws, pa.int32()),
-        "h": pa.array(hs, pa.int32()),
-        "frame_phash": pa.array(ph, pa.int64()),
+        "w": pa.array(hw[:, 1], pa.int32()),
+        "h": pa.array(hw[:, 0], pa.int32()),
+        "frame_phash": pa.array(phash.view(np.int64), pa.int64()),
     })
 
 
 def video_signature_batch(batch: pa.Table, n_frames: int = 4) -> pa.Table:
     """Per-video 64-bit fingerprint: sampled frame phashes folded by
     bitwise majority (functions/videocodec.video_hash64), plus the frame
-    phash list for slot-wise verification.  Undecodable payloads get a
-    per-ID noise hash (never pair)."""
+    phash list for slot-wise verification.  Undecodable payloads (the
+    container or any sampled frame) get a per-ID noise hash (never
+    pair)."""
     from ..functions import videocodec as vcodec
     from ..functions.hashing import hash_strings
     ids = batch["video_id"].to_pylist()
     noise = hash_strings(ids, seed=0x51DE0)
+    rows, _, frame_ok, _, phash = _sampled_frames(
+        batch["bytes"].to_pylist(), n_frames)
     n = len(ids)
-    vh = np.zeros(n, dtype=np.uint64)
-    ok = np.zeros(n, dtype=bool)
-    fr_ph: list[list[int]] = []
-    for i, p in enumerate(batch["bytes"].to_pylist()):
-        try:
-            nf, _, _ = vcodec.video_info(p)
-            idxs = vcodec.sample_indices(nf, n_frames)
-            phs = np.array([codec.phash64(vcodec.decode_frame(p, int(j)))
-                            for j in idxs], dtype=np.uint64)
-        except vcodec.VideoCodecError:
-            vh[i] = noise[i]
-            fr_ph.append([])
-            continue
-        ok[i] = True
-        vh[i] = vcodec.video_hash64(phs)
-        fr_ph.append(phs.view(np.int64).tolist())
+    ok = np.bincount(rows[~frame_ok], minlength=n) == 0
+    per_video = np.split(phash, np.cumsum(np.bincount(rows, minlength=n)))
+    vh = noise.copy()
+    fr_ph: list[list[int]] = [[]] * n
+    for i in np.flatnonzero(ok):
+        vh[i] = vcodec.video_hash64(per_video[i])
+        fr_ph[i] = per_video[i].view(np.int64).tolist()
     return pa.table({
         "video_id": batch["video_id"],
         "decode_ok": pa.array(ok),

@@ -2,9 +2,10 @@
 
 ``signature_batch`` holds no state between batches: the MinHash salts
 are derived from ``cfg.seed`` per call and the DCT matrix
-(``codec._DCT32``) is built when the module is imported, so Ray Data runs
-it as plain tasks that schedule on any free CPU.  There is no actor pool
-to size and none that can hold the only CPU and starve the read stage.
+(``imagecodec._DCT32``) is built when that module is imported, so Ray
+Data runs it as plain tasks that schedule on any free CPU.  There is no
+actor pool to size and none that can hold the only CPU and starve the
+read stage.
 
 Per batch: decode pixels -> recompute phash (verifying the
 precomputed ``phash`` column) + pixel SimHash; caption shingles -> MinHash
@@ -22,9 +23,11 @@ once, and the materialized output is the narrow "sigtable" every
 downstream stage (exact dedup, LSH, verify, components, counters,
 rejected sink) reads instead of re-scanning the input.
 
-Pixel math is batched: per-image decode + area-resample to a 32x32 gray
-stack, then ONE broadcast (B,32,32) DCT matmul chain for all phashes and
-one reshape-mean for all pixel SimHashes — no per-image DCT calls.
+Pixel math is the image kernel's (functions/imagecodec.py): per-image
+decode + area-resample to a 32x32 gray stack (``decoded`` with
+``gray32_area_f32``), then ``pixel_hashes`` runs ONE broadcast (B,32,32)
+DCT matmul chain for all phashes and one reshape-mean for all pixel
+SimHashes — no per-image DCT calls.
 
 Output schema (the "sigtable"; ``caption_signatures`` builds the caption
 columns for the image and the text pipeline alike):
@@ -53,49 +56,13 @@ from ..functions.hashing import (adjacent_pair_hashes, char_shingle_hashes,
 _U64 = np.uint64
 
 
-def _pixel_features(arr: np.ndarray) -> np.ndarray:
-    """64 block-mean luma features for the pixel SimHash: 8x8 area means."""
-    g = codec._resize_gray_32(arr)
-    return g.reshape(8, 4, 8, 4).mean(axis=(1, 3)).ravel()
-
-
-def _pack_bits64(bits: np.ndarray) -> np.ndarray:
-    """(m, 64) bool/uint8 -> (m,) uint64, little bit order."""
-    return np.packbits(bits.astype(np.uint8), axis=1,
-                       bitorder="little").view("<u8").ravel()
-
-
 def pixel_hashes_batch(payloads: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode a batch of payloads -> (phash u64, simhash_pix u64, ok bool).
-
-    Decode + resize run per payload (variable sizes force it); the DCT /
-    thresholding runs ONCE for the whole stack — one (B,32,32) matmul chain
-    instead of B separate 32x32 DCTs."""
-    n = len(payloads)
-    ok = np.zeros(n, dtype=bool)
-    grays = []
-    for i, p in enumerate(payloads):
-        try:
-            grays.append(codec.gray32_area_f32(codec.decode_image(p)))
-            ok[i] = True
-        except codec.CodecError:
-            pass
-    phash = np.zeros(n, dtype=_U64)
-    simpix = np.zeros(n, dtype=_U64)
-    if grays:
-        G = np.stack(grays)                               # (m, 32, 32) f32
-        D = codec._DCT32.astype(np.float32)
-        C = D[None] @ G @ D.T[None]                       # batched 2-D DCT
-        vals = C[:, :8, :8].reshape(len(grays), 64)[:, 1:]  # drop DC
-        med = np.median(vals, axis=1, keepdims=True)
-        bits = np.zeros((len(grays), 64), dtype=np.uint8)
-        bits[:, 1:] = vals > med
-        phash[ok] = _pack_bits64(bits)
-
-        feats = G.reshape(len(grays), 8, 4, 8, 4).mean(axis=(2, 4)) \
-                 .reshape(len(grays), 64)
-        sbits = feats > feats.mean(axis=1, keepdims=True)
-        simpix[ok] = _pack_bits64(sbits)
+    """Decode a batch of payloads -> (phash u64, simhash_pix u64, ok bool);
+    undecodable rows get zero hashes and ``ok`` False."""
+    grays, ok = codec.decoded(payloads, codec.gray32_area_f32)
+    phash = np.zeros(len(payloads), dtype=_U64)
+    simpix = np.zeros(len(payloads), dtype=_U64)
+    phash[ok], simpix[ok] = codec.pixel_hashes(grays)
     return phash, simpix, ok
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import DedupConfig
-from ..functions.hashing import _ranges_within, hamming_u64
+from ..functions.hashing import _ranges_within, est_jaccard, hamming_u64
 
 _U64 = np.uint64
 
@@ -103,7 +103,7 @@ def _verdicts(cfg: DedupConfig, *, mh_l, mh_r, ph_l, ph_r, sp_l, sp_r,
     cap_buf_l, cap_s_l, cap_e_l = cap_l[0], cap_l[1][:-1], cap_l[1][1:]
     cap_buf_r, cap_s_r, cap_e_r = cap_r[0], cap_r[1][:-1], cap_r[1][1:]
     n = len(ph_l)
-    jac = (mh_l == mh_r).mean(axis=1) if n else np.zeros(0)
+    jac = est_jaccard(mh_l, mh_r) if n else np.zeros(0)
     ph = hamming_u64(ph_l, ph_r)
     sp = hamming_u64(sp_l, sp_r)
 

@@ -3,6 +3,7 @@ import pytest
 
 from courlan_ray.functions import imagecodec as C
 from courlan_ray.functions.hashing import hamming_u64
+from courlan_ray.stages.signatures import pixel_hashes_batch
 
 
 def _img(seed=0, size=64):
@@ -51,6 +52,23 @@ def test_phash_robust_to_reencode_distinct_for_others():
 
 def test_phash_batch_flags_bad_rows():
     good = C.encode_image(_img(), "png")
-    ph, ok = C.phash64_batch([good, b"junk", None])
+    ph, _, ok = pixel_hashes_batch([good, b"junk", None])
     assert ok.tolist() == [True, False, False]
     assert ph[0] != 0
+
+
+def test_pixel_hashes_batch_mixed_shapes():
+    """One batch of images of mixed shapes, most of them not multiples of
+    32 (gray32_area_f32's reduceat path), and a garbage payload: each
+    decoded row hashes as ``phash64`` of its own image does."""
+    shapes = [(64, 64), (96, 96), (8, 8), (33, 100), (50, 70)]
+    imgs = [np.random.default_rng(i).integers(0, 256, (h, w, 3),
+                                              dtype=np.uint8)
+            for i, (h, w) in enumerate(shapes)]
+    payloads = [C.encode_image(a, "jpeg", 90) for a in imgs]
+    payloads.insert(3, b"\x89GARBAGE-not-an-image")
+    ph, simpix, ok = pixel_hashes_batch(payloads)
+    assert ok.tolist() == [True, True, True, False, True, True]
+    want = [C.phash64(C.decode_image(p)) for p, k in zip(payloads, ok) if k]
+    assert ph[ok].tolist() == want
+    assert ph[3] == simpix[3] == 0

@@ -83,3 +83,30 @@ def test_image_counters_sql_builder_generalizes():
     truth = (canonicalize_batch(synth_table(2000, 42), DEFAULT_CONFIG)
              .to_pandas()["reject_reason"].value_counts().to_dict())
     assert dict(zip(df["reject_reason"], df["n"])) == truth
+
+
+def test_oracle_cache_key_covers_every_module(tmp_path):
+    """The key of the oracle signature parquets changes with any package
+    module, the image codec included (it hashes the video frames that
+    ``video_sigs`` holds)."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    shutil.copytree(Path(__file__).resolve().parents[1] / "courlan_ray",
+                    tmp_path / "courlan_ray",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+    def key() -> str:
+        return subprocess.run(
+            [sys.executable, "-c", "from courlan_ray.pipelines.extras "
+             "import _kernel_fingerprint; print(_kernel_fingerprint())"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True, text=True, check=True).stdout.strip()
+
+    before = key()
+    with open(tmp_path / "courlan_ray/functions/imagecodec.py", "a") as f:
+        f.write("\n# an edit\n")
+    assert key() != before

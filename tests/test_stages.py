@@ -861,3 +861,25 @@ def test_dataset_sorts_are_contract_sorts():
     for f in root.rglob("*.py"):
         walk(ast.parse(f.read_text()), f.relative_to(root).as_posix(), None)
     assert found == CONTRACT_SORTS
+
+
+def test_sample_urls_bounds_and_repeats():
+    """sample_urls with samplesize > 1 and both exclude bounds: a host's
+    size counts distinct non-root paths (delta.de has 8 URLs, 4 paths),
+    hosts outside [3, 6] drop whole, and the draw is the seeded one."""
+    from courlan_ray.pipelines.url_pipeline import sample_urls
+    urls = ([f"https://alpha.org/news/item-{i}" for i in range(5)]
+            + ["https://alpha.org/news/item-3", "https://alpha.org/"]
+            + [f"https://beta.net/b{i}" for i in range(2)]
+            + [f"https://gamma.com/g/{i}" for i in range(8)]
+            + [f"https://delta.de/d{i}" for i in range(4)]
+            + [f"https://delta.de/d{i % 2}" for i in range(4)])
+    assert sample_urls(urls, 2, exclude_min=3, exclude_max=6) == [
+        "https://alpha.org/news/item-0", "https://alpha.org/news/item-2",
+        "https://delta.de/d0", "https://delta.de/d1"]
+    assert sample_urls(urls, 3) == [
+        "https://alpha.org/news/item-0", "https://alpha.org/news/item-2",
+        "https://alpha.org/news/item-3", "https://beta.net/b0",
+        "https://beta.net/b1", "https://delta.de/d0", "https://delta.de/d1",
+        "https://delta.de/d3", "https://gamma.com/g/4",
+        "https://gamma.com/g/5", "https://gamma.com/g/6"]
